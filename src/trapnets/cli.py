@@ -42,11 +42,7 @@ def _cmd_generate(args) -> int:
     elif args.ensemble == "cayley":
         tree = ensembles.as_plane_tree(
             ensembles.uniform_cayley_tree(args.size, stream), args.size)
-        edges = [(tree.labels[tree.parent[i]], tree.labels[i], 1.0)
-                 for i in range(1, tree.size)]
-        from .networks import build_network
-        net = build_network(sorted(tree.labels), edges, root=tree.labels[0])
-        _write(args.out, serialize.network_to_json(net))
+        _write(args.out, serialize.network_to_json(tree.network()))
     elif args.ensemble == "tilted":
         tree = ensembles.tilted_tree(args.size, args.p, stream)
         net = ensembles.surplus_attachment(tree, args.p, stream)
@@ -133,6 +129,7 @@ def _cmd_experiment(args) -> int:
     runner = {
         "aging": experiments.run_aging_experiment,
         "subaging": experiments.run_subaging_experiment,
+        "two_point": experiments.run_two_point_experiment,
         "traps": experiments.run_trap_convergence,
         "metrics": experiments.run_metric_convergence,
     }.get(kind)

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure
 from .networks import ElectricalNetwork, ball_tolerance, boundary_resistance
-from .rng import RngStream
+from .rng import as_generator
 
 _ROW_SUM_TOL = 1e-10
 _DENSITY_SYM_TOL = 1e-10
@@ -204,6 +204,31 @@ def _gillespie_tables(gen: Generator):
     return means, targets, cums
 
 
+def _run_chain(tables, i: int, horizon: float, rng, inside=None, visits=None) -> int:
+    """Run the jump chain from state index i; return the index it stops in.
+
+    Draws one exponential holding time per state entered and one scalar
+    uniform per jump, and jumps only while the clock stays below the horizon.
+    With ``inside``, the run stops right after the first jump out of that set
+    of indices, drawing no holding time there.  With ``visits``, each state
+    entered is appended as (index, holding time cut at the horizon).
+    """
+    means, targets, cums = tables
+    t = 0.0
+    while True:
+        hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
+        if t + hold >= horizon:
+            if visits is not None:
+                visits.append((i, horizon - t))
+            return i
+        if visits is not None:
+            visits.append((i, hold))
+        t += hold
+        i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
+        if inside is not None and i not in inside:
+            return i
+
+
 def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathSample:
     """Exact jump-chain simulation up to the horizon.
 
@@ -212,44 +237,24 @@ def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathS
     """
     if not horizon > 0:
         raise TrapnetsError("horizon must be positive")
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
     net = gen.net
-    means, targets, cums = _gillespie_tables(gen)
-    i = net.index(start)
-    states: list = []
-    durations: list = []
-    t = 0.0
-    while True:
-        hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
-        states.append(net.vertex_ids[i])
-        if t + hold >= horizon:
-            durations.append(horizon - t)
-            break
-        durations.append(hold)
-        t += hold
-        i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
-    return PathSample(tuple(states), tuple(durations), start, horizon)
+    visits: list = []
+    _run_chain(_gillespie_tables(gen), net.index(start), horizon,
+               as_generator(rng_or_stream), visits=visits)
+    states = tuple(net.vertex_ids[i] for i, _ in visits)
+    return PathSample(states, tuple(d for _, d in visits), start, horizon)
 
 
 def simulate_marginal(gen: Generator, start, t: float, rng_or_stream, n_paths: int) -> np.ndarray:
     """Empirical distribution of the state at time t over n_paths runs."""
     if not t > 0:
         raise NonpositiveTime("time must be positive")
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
-    net = gen.net
-    means, targets, cums = _gillespie_tables(gen)
-    counts = np.zeros(net.n_vertices)
-    i0 = net.index(start)
+    rng = as_generator(rng_or_stream)
+    tables = _gillespie_tables(gen)
+    counts = np.zeros(gen.net.n_vertices)
+    i0 = gen.net.index(start)
     for _ in range(n_paths):
-        i = i0
-        clock = 0.0
-        while True:
-            hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
-            clock += hold
-            if clock >= t:
-                break
-            i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
-        counts[i] += 1
+        counts[_run_chain(tables, i0, t, rng)] += 1
     return counts / n_paths
 
 
@@ -368,19 +373,24 @@ def exit_time_bound(env, x, r: float, delta: float, horizon: float) -> float:
     Requires 0 < delta < R(x, B(x, r)^c).  Zero when the ball covers the
     whole space (the exit time is infinite).
     """
+    return _exit_time_bound(env, x, r, delta, horizon)[0]
+
+
+def _exit_time_bound(env, x, r: float, delta: float, horizon: float):
+    """(exit_time_bound, R(x, B(x, r)^c)) from one resistance solve."""
     if horizon < 0:
         raise PreconditionViolated("horizon must be nonnegative")
     net = env.network
     res = boundary_resistance(net, x, r)
     if math.isinf(res):
-        return 0.0
+        return 0.0, res
     if not 0 < delta < res:
         raise PreconditionViolated(
             f"delta must lie in (0, R(x, ball complement)) = (0, {res})")
     ix = net.index(x)
     small_ball = np.flatnonzero(net.resistance_matrix[ix] < delta - ball_tolerance(delta))
     nu_small = float(sum(env.generator.nu_values[i] for i in small_ball))
-    return 4.0 * delta / res + 4.0 * horizon / (nu_small * (res - delta))
+    return 4.0 * delta / res + 4.0 * horizon / (nu_small * (res - delta)), res
 
 
 def exit_time_bound_check(env, x, r: float, delta: float, horizon: float,
@@ -389,34 +399,25 @@ def exit_time_bound_check(env, x, r: float, delta: float, horizon: float,
 
     When the ball covers the whole space both sides degenerate to zero.
     """
-    bound = exit_time_bound(env, x, r, delta, horizon)
-    net = env.network
-    if math.isinf(boundary_resistance(net, x, r)):
+    bound, res = _exit_time_bound(env, x, r, delta, horizon)
+    if math.isinf(res):
         return ExitTimeCheck(0.0, 0.0, 0.0, 0.0)
-    ix = net.index(x)
-    ball = set(np.flatnonzero(net.resistance_matrix[ix] < r - ball_tolerance(r)))
-
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
-    gen = env.generator
-    means, targets, cums = _gillespie_tables(gen)
-    exits = 0
-    for _ in range(n_paths):
-        i = ix
-        clock = 0.0
-        exited = False
-        while clock <= horizon:
-            hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
-            clock += hold
-            if clock > horizon:
-                break
-            i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
-            if i not in ball:
-                exited = True
-                break
-        if exited:
-            exits += 1
-    phat, lo, hi = _wilson_interval(exits, n_paths)
+    phat, lo, hi = _exit_interval(env, x, r, horizon, rng_or_stream, n_paths)
     return ExitTimeCheck(phat, lo, hi, bound)
+
+
+def _exit_interval(env, x, radius: float, horizon: float, rng_or_stream, n_paths: int):
+    """Wilson interval of the share of runs from x that leave the open
+    radius-ball by the horizon."""
+    ix = env.network.index(x)
+    row = env.network.resistance_matrix[ix]
+    # The centre belongs to its ball even when the snap width exceeds the radius.
+    ball = set(np.flatnonzero(row < radius - ball_tolerance(radius))) | {ix}
+    tables = _gillespie_tables(env.generator)
+    rng = as_generator(rng_or_stream)
+    exits = sum(_run_chain(tables, ix, horizon, rng, inside=ball) not in ball
+                for _ in range(n_paths))
+    return _wilson_interval(exits, n_paths)
 
 
 @dataclass(frozen=True)
@@ -450,7 +451,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     nu_ball = float(gen.nu_values[closed_ball].sum())
     mass_ratio = float(gen.nu_values[ix]) / nu_ball
     if n_paths > 0 and rng_or_stream is not None:
-        exit_ci_high = _exit_probability_upper(env, x, eps, t, rng_or_stream, n_paths)
+        exit_ci_high = _exit_interval(env, x, eps, t, rng_or_stream, n_paths)[2]
     else:
         exit_ci_high = 1.0
     local_bound = mass_ratio - exit_ci_high
@@ -461,27 +462,3 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
         stationary_bound=stat_bound,
         local_bound=local_bound,
     )
-
-
-def _exit_probability_upper(env, x, radius: float, horizon: float,
-                            rng_or_stream, n_paths: int) -> float:
-    net = env.network
-    gen = env.generator
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
-    ix = net.index(x)
-    ball = set(np.flatnonzero(net.resistance_matrix[ix] < radius - ball_tolerance(radius)))
-    means, targets, cums = _gillespie_tables(gen)
-    exits = 0
-    for _ in range(n_paths):
-        i = ix
-        clock = 0.0
-        while clock <= horizon:
-            hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
-            clock += hold
-            if clock > horizon:
-                break
-            i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
-            if i not in ball:
-                exits += 1
-                break
-    return _wilson_interval(exits, n_paths)[2]

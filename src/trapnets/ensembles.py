@@ -27,15 +27,9 @@ from .errors import (
     TrapnetsError,
 )
 from .networks import ElectricalNetwork, build_network
-from .rng import RngStream
+from .rng import as_generator
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
-
-
-def _resolve_rng(rng_or_stream):
-    if isinstance(rng_or_stream, RngStream):
-        return rng_or_stream.generator()
-    return rng_or_stream
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +118,7 @@ def conductance_path(window: int, law: UniformConductanceLaw, rng_or_stream,
     """
     if window < 1:
         raise TrapnetsError("window must be at least 1")
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     if values is None:
         values = law.sample(rng, size=2 * window)
     if len(values) != 2 * window:
@@ -168,7 +162,7 @@ def uniform_cayley_tree(m: int, rng_or_stream) -> list:
     """Uniform labeled tree on [m] (edge list) via Prufer decoding."""
     if m < 1:
         raise TrapnetsError("tree size must be at least 1")
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     if m <= 2:
         return prufer_decode([], m)
     seq = [int(v) for v in rng.integers(1, m + 1, size=m - 2)]
@@ -195,6 +189,12 @@ class PlaneTree:
         for p in self.parent[1:]:
             k[p] += 1
         return k
+
+    def network(self) -> ElectricalNetwork:
+        """Unit-conductance network on the labels, rooted at the root's label."""
+        edges = [(self.labels[self.parent[i]], self.labels[i], 1.0)
+                 for i in range(1, self.size)]
+        return build_network(sorted(self.labels), edges, root=self.labels[0])
 
 
 def as_plane_tree(edges, m: int, root_label: int = 1) -> PlaneTree:
@@ -278,7 +278,7 @@ def tilted_tree(m: int, p: float, rng_or_stream, method: str = "enumeration") ->
         raise TrapnetsError("p must lie in (0, 1)")
     if m < 1:
         raise TrapnetsError("tree size must be at least 1")
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     if method == "enumeration":
         if m > 8:
             raise TooLargeForEnumeration("enumeration supports m <= 8")
@@ -308,7 +308,7 @@ def binomial_pointset_under_walk(walk: np.ndarray, p: float, rng_or_stream) -> t
     """
     if not 0 < p < 1:
         raise TrapnetsError("p must lie in (0, 1)")
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     points = []
     for x in range(len(walk) - 1):
         h = int(walk[x])
@@ -341,7 +341,7 @@ def surplus_attachment(tree: PlaneTree, p: float, rng_or_stream) -> ElectricalNe
     the walk's first return below it; a marked pair that already carries an
     edge ends up with conductance 2.
     """
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     walk = coding_functions(tree).walk
     points = binomial_pointset_under_walk(walk, p, rng)
     cond: dict = {}
@@ -396,7 +396,7 @@ def er_largest_component(n: int, lam: float, rng_or_stream) -> ElectricalNetwork
     p = 1.0 / n + lam * n ** (-4.0 / 3.0)
     if not 0.0 < p < 1.0:
         raise InvalidWindow(f"edge probability {p} outside (0, 1)")
-    rng = _resolve_rng(rng_or_stream)
+    rng = as_generator(rng_or_stream)
     total_pairs = n * (n - 1) // 2
     row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     log_q = math.log1p(-p)

@@ -28,7 +28,7 @@ from .ensembles import (
 )
 from .errors import ConfigError, TrapnetsError
 from .measures import DiscreteMeasure, dis_measure_distance, local_hausdorff
-from .networks import FiniteMetricSpace, build_network
+from .networks import FiniteMetricSpace
 from .rng import RngStream
 from .traps import ScaleTriple, TrapEnvironment, TrapLaw, scaling_constant, truncated_prm
 from .serialize import format_value
@@ -221,14 +221,7 @@ def _build_deterministic_levels(config: ExperimentConfig):
 
 def _random_graph(config: ExperimentConfig, level: int, stream: RngStream):
     if config.kind == "cayley_tree":
-        edges = uniform_cayley_tree(level, stream)
-        tree = as_plane_tree(edges, level)
-        cond = {}
-        for i in range(1, tree.size):
-            u, v = tree.labels[tree.parent[i]], tree.labels[i]
-            cond[(u, v)] = 1.0
-        net = build_network(sorted(tree.labels), [(u, v, w) for (u, v), w in cond.items()],
-                            root=tree.labels[0])
+        net = as_plane_tree(uniform_cayley_tree(level, stream), level).network()
         return net, net.root
     if config.kind == "er_component":
         net = er_largest_component(level, config.lam, stream)
@@ -289,11 +282,10 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
                     net = lg.network if lg.network is not None else path_builder(n, zeta).network
                     root = lg.root
                     traps = law.quantile(uniforms[lg.coupling])
-                    nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
                 else:
                     net, root = _random_graph(config, n, base.child(2, slot))
                     traps = law.quantile(1.0 - base.child(3, slot).generator().random(net.n_vertices))
-                    nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
+                nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
                 env = TrapEnvironment(net, nu, scales[n])
                 for s in config.s_grid:
                     for t in config.t_grid:
@@ -431,8 +423,7 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
             masks.append((np.flatnonzero(root_row < r), float(u)))
 
         reps = config.replicas
-        chi_tot = 0.0
-        dof = 0
+        cells: list = []
         for box_id, ((idx, u), (r, _)) in enumerate(zip(masks, boxes)):
             if len(idx) == 0:
                 table.add(n, -1, r, u, "pi_void_empirical", 1.0)
@@ -442,27 +433,15 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
             rng = RngStream(config.seed).child(8, n, box_id).generator()
             draws = law.quantile(1.0 - rng.random((reps, len(idx))))
             void = np.all(draws <= scale.c * u, axis=1)
-            observed = int(void.sum())
             p0 = (1.0 - law.tail(scale.c * u)) ** len(idx)
-            expected = reps * p0
-            table.add(n, -1, r, u, "pi_void_empirical", observed / reps)
-            table.add(n, -1, r, u, "pi_void_expected", p0)
-            if 0.0 < p0 < 1.0:
-                chi = ((observed - expected) ** 2 / expected
-                       + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected))
-                chi_tot += chi
-                dof += 1
-                table.add(n, -1, r, u, "pi_void_pvalue", float(stats.chi2.sf(chi, 1)))
+            _void_rows(table, cells, "pi", n, r, u, int(void.sum()), reps, p0)
             table.add(n, -1, r, u, "scaling_identity_residual",
                       law_residual(law, scale, u))
-        if dof:
-            table.add(n, -1, 0.0, 0.0, "pi_void_aggregate_pvalue",
-                      float(stats.chi2.sf(chi_tot, dof)))
+        _aggregate_row(table, cells, "pi", n)
 
         # Truncated PRM against the limit void probabilities.
         prm_rng = RngStream(config.seed).child(9, n)
-        chi_tot = 0.0
-        dof = 0
+        cells = []
         for box_id, ((idx, u), (r, _)) in enumerate(zip(masks, boxes)):
             if len(idx) == 0 or u < config.prm_floor:
                 continue
@@ -475,19 +454,30 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
                 if all(w <= u for _, w in pi.atoms):
                     observed += 1
             p0 = math.exp(-base_mass * u ** (-config.alpha))
-            expected = reps * p0
-            table.add(n, -1, r, u, "prm_void_empirical", observed / reps)
-            table.add(n, -1, r, u, "prm_void_expected", p0)
-            if 0.0 < p0 < 1.0:
-                chi = ((observed - expected) ** 2 / expected
-                       + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected))
-                chi_tot += chi
-                dof += 1
-                table.add(n, -1, r, u, "prm_void_pvalue", float(stats.chi2.sf(chi, 1)))
-        if dof:
-            table.add(n, -1, 0.0, 0.0, "prm_void_aggregate_pvalue",
-                      float(stats.chi2.sf(chi_tot, dof)))
+            _void_rows(table, cells, "prm", n, r, u, observed, reps, p0)
+        _aggregate_row(table, cells, "prm", n)
     return table
+
+
+def _void_rows(table: ResultTable, cells: list, name: str, n, r, u,
+               observed: int, reps: int, p0: float) -> None:
+    """Rows for one box's void frequency against its probability p0; when
+    0 < p0 < 1, also its chi-square p-value, with the cell appended to cells."""
+    expected = reps * p0
+    table.add(n, -1, r, u, name + "_void_empirical", observed / reps)
+    table.add(n, -1, r, u, name + "_void_expected", p0)
+    if 0.0 < p0 < 1.0:
+        chi = ((observed - expected) ** 2 / expected
+               + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected))
+        cells.append(chi)
+        table.add(n, -1, r, u, name + "_void_pvalue", float(stats.chi2.sf(chi, 1)))
+
+
+def _aggregate_row(table: ResultTable, cells: list, name: str, n) -> None:
+    """Aggregate chi-square p-value over the boxes of one level, if any."""
+    if cells:
+        table.add(n, -1, 0.0, 0.0, name + "_void_aggregate_pvalue",
+                  float(stats.chi2.sf(sum(cells), len(cells))))
 
 
 def law_residual(law: TrapLaw, scale: ScaleTriple, u: float) -> float:

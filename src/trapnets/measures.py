@@ -485,18 +485,3 @@ def vardom_distance(f: dict, g: dict, domain_space, value_space) -> float:
         return worst
 
     return min(max(one_side(f, g), one_side(g, f)), 1.0)
-
-
-def restrict(obj, r: float):
-    """Restriction of a measure, point measure, or point set to the root r-ball."""
-    if isinstance(obj, (DiscreteMeasure, PointMeasure)):
-        return obj.restrict(r)
-    raise TrapnetsError("restrict expects a DiscreteMeasure or PointMeasure; "
-                        "for raw point sets use restrict_points")
-
-
-def restrict_points(points: Sequence, carrier, r: float) -> list:
-    if not r > 0:
-        raise TrapnetsError("radius must be positive")
-    tol = ball_tolerance(r)
-    return [p for p in points if carrier.root_distance(p) < r - tol]

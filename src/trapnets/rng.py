@@ -44,3 +44,11 @@ class RngStream:
         for ix in indices:
             h = _mix64(h + _GOLDEN + (ix & _MASK64))
         return RngStream(self.seed, h)
+
+
+def as_generator(rng_or_stream):
+    """The generator of an :class:`RngStream`; any other object is returned
+    unchanged, so numpy generators and objects that draw like one pass through."""
+    if isinstance(rng_or_stream, RngStream):
+        return rng_or_stream.generator()
+    return rng_or_stream

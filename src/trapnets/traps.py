@@ -9,7 +9,6 @@ than a limit, which the test-suite exploits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import InvalidScale, InvalidTruncation, TrapnetsError
 from .measures import DiscreteMeasure, PointMeasure
 from .networks import ElectricalNetwork
-from .rng import RngStream
+from .rng import as_generator
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class TrapEnvironment:
 def sample_trap(net: ElectricalNetwork, law: TrapLaw, rng_or_stream,
                 carrier=None) -> DiscreteMeasure:
     """One i.i.d. Pareto trap per vertex, in vertex insertion order."""
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
+    rng = as_generator(rng_or_stream)
     draws = pareto_sample(law, rng, size=net.n_vertices)
     atoms = {v: float(x) for v, x in zip(net.vertex_ids, draws)}
     return DiscreteMeasure(carrier, atoms)
@@ -149,7 +148,7 @@ def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
         raise InvalidTruncation("v_floor must be positive")
     if not 0.0 < alpha < 1.0:
         raise TrapnetsError("alpha must lie in (0, 1)")
-    rng = rng_or_stream.generator() if isinstance(rng_or_stream, RngStream) else rng_or_stream
+    rng = as_generator(rng_or_stream)
     rate = v_floor ** (-alpha)
     atoms = []
     for p, mass in base.atoms.items():
@@ -159,15 +158,3 @@ def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
             for v in v_floor * u ** (-1.0 / alpha):
                 atoms.append((p, float(v)))
     return PointMeasure(base.carrier, tuple(atoms), marked=False)
-
-
-def truncated_tail_mass(base: DiscreteMeasure, alpha: float, v_floor: float) -> float:
-    """Expected total weight discarded by the truncation, sum over atoms of
-    base({x}) * integral_0^v_floor v * alpha v^(-1-alpha) dv."""
-    per_unit = alpha / (1.0 - alpha) * v_floor ** (1.0 - alpha)
-    return base.total() * per_unit
-
-
-def prm_void_probability(base_mass: float, alpha: float, u: float) -> float:
-    """Limit void probability exp(-base_mass * u^(-alpha)) over A x (u, inf)."""
-    return math.exp(-base_mass * u ** (-alpha))

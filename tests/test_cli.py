@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trapnets.cli import main
+from trapnets.experiments import ExperimentConfig, run_two_point_experiment
 from trapnets.serialize import (
     discrete_measure_from_json,
     environment_from_json,
@@ -46,6 +47,25 @@ class TestGenerate:
                      "--seed", "4", "--out", str(out)]) == 0
         net = network_from_json(out.read_text())
         assert net.n_vertices >= 1
+
+    def test_cayley_is_unit_tree_rooted_at_1(self, tmp_path):
+        out = tmp_path / "tree.json"
+        assert main(["generate", "--ensemble", "cayley", "--size", "12",
+                     "--seed", "5", "--out", str(out)]) == 0
+        net = network_from_json(out.read_text())
+        edges = list(net.edges())
+        assert sorted(net.vertex_ids) == list(range(1, 13))
+        assert net.root == 1
+        assert len(edges) == 11
+        assert all(w == 1.0 for _, _, w in edges)
+        # size - 1 edges that connect every label make a tree.
+        reached, frontier = {1}, [1]
+        while frontier:
+            for w in net.neighbors(frontier.pop()):
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        assert reached == set(range(1, 13))
 
 
 class TestRoundTrips:
@@ -159,6 +179,16 @@ class TestExperimentCommand:
         text = (tmp_path / "table.csv").read_text()
         assert text.splitlines()[0] == "n,replica,s,t,statistic,value,ci_low,ci_high"
         assert "phi_annealed_mean" in text
+
+    def test_two_point_writes_runner_csv(self, capsys, tmp_path):
+        cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
+               "alpha": 0.5, "seed": 2, "replicas": 3,
+               "out": str(tmp_path / "table.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 0
+        expected = run_two_point_experiment(ExperimentConfig.from_dict(cfg)).to_csv()
+        assert (tmp_path / "table.csv").read_text() == expected
 
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

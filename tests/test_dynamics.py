@@ -12,6 +12,7 @@ from trapnets import (
     make_environment,
     return_probability_bounds_check,
     scaled_surface,
+    sierpinski,
     simulate_path,
     subaging_psi,
     transition_kernel,
@@ -367,3 +368,44 @@ class TestPhiMonteCarloCrossCheck:
                 hits += 1
         sigma = math.sqrt(exact * (1 - exact) / n_paths)
         assert abs(hits / n_paths - exact) <= 3 * sigma
+
+
+class TestPinnedJumpChain:
+    """Exact outputs of the four jump-chain entry points on a pinned gasket
+    environment; any change in the order of random draws moves them."""
+
+    @pytest.fixture
+    def gasket_env(self):
+        net = sierpinski(2).network
+        env = make_environment(net, TrapLaw(0.5), (5 / 3) ** 2, 9.0, RngStream(5))
+        return env, net.root, env.scale.a * env.scale.c
+
+    def test_simulate_path(self, gasket_env):
+        env, root, unit = gasket_env
+        path = simulate_path(env.generator, root, 0.2 * unit, RngStream(11))
+        assert path.states == (0, 5, 6, 1, 2, 1, 2, 3, 7, 3, 4, 8, 4, 8, 11, 8, 4, 8, 7,
+                               8, 3, 2, 6)
+        assert path.durations == (
+            1.919722187665318, 2.1604448085899586, 5.5686406765202054, 3.702695893212498,
+            0.013711251323980704, 0.5946736412294532, 0.04747258594063546,
+            0.16472540865179158, 3.2594090282732924, 1.5049526338204042,
+            0.5427449647770889, 4.698748099421601, 1.176858003879573, 4.373177414533741,
+            1.2717359090235685, 0.6340128482063347, 1.1454143809368464,
+            1.6185894582611013, 4.621118013518832, 2.106627091993771,
+            0.041609981816252646, 0.1359405915120028, 3.6969751268917577)
+
+    def test_simulate_marginal(self, gasket_env):
+        env, root, unit = gasket_env
+        freq = simulate_marginal(env.generator, root, 0.05 * unit, RngStream(12), 40)
+        counts = np.array([21, 3, 0, 0, 0, 1, 7, 3, 0, 0, 1, 4, 0, 0, 0])
+        assert np.array_equal(freq, counts / 40)
+
+    def test_exit_time_empirical(self, gasket_env):
+        env, root, unit = gasket_env
+        res = exit_time_bound_check(env, root, 1.4, 0.2, 0.02 * unit, RngStream(13), 200)
+        assert res.empirical == 8 / 200
+
+    def test_return_local_bound(self, gasket_env):
+        env, root, unit = gasket_env
+        chk = return_probability_bounds_check(env, root, 0.05 * unit, 1.4, RngStream(14), 200)
+        assert chk.local_bound == -0.09428436671377685
