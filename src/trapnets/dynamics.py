@@ -188,9 +188,8 @@ def _gillespie_tables(gen: Generator):
     means = []
     targets = []
     cums = []
-    for i, v in enumerate(net.vertex_ids):
+    for i, (v, mu_x) in enumerate(zip(net.vertex_ids, net.total_conductance_vector)):
         nbrs = net.neighbors(v)
-        mu_x = sum(nbrs.values())
         if mu_x == 0.0:
             means.append(math.inf)
             targets.append([])
@@ -373,24 +372,23 @@ def exit_time_bound(env, x, r: float, delta: float, horizon: float) -> float:
     Requires 0 < delta < R(x, B(x, r)^c).  Zero when the ball covers the
     whole space (the exit time is infinite).
     """
-    return _exit_time_bound(env, x, r, delta, horizon)[0]
+    return _exit_time_bound(env, x, boundary_resistance(env.network, x, r), delta, horizon)
 
 
-def _exit_time_bound(env, x, r: float, delta: float, horizon: float):
-    """(exit_time_bound, R(x, B(x, r)^c)) from one resistance solve."""
+def _exit_time_bound(env, x, res: float, delta: float, horizon: float) -> float:
+    """exit_time_bound given res = R(x, B(x, r)^c), so callers solve for it once."""
     if horizon < 0:
         raise PreconditionViolated("horizon must be nonnegative")
-    net = env.network
-    res = boundary_resistance(net, x, r)
     if math.isinf(res):
-        return 0.0, res
+        return 0.0
     if not 0 < delta < res:
         raise PreconditionViolated(
             f"delta must lie in (0, R(x, ball complement)) = (0, {res})")
+    net = env.network
     ix = net.index(x)
     small_ball = np.flatnonzero(net.resistance_matrix[ix] < delta - ball_tolerance(delta))
     nu_small = float(sum(env.generator.nu_values[i] for i in small_ball))
-    return 4.0 * delta / res + 4.0 * horizon / (nu_small * (res - delta)), res
+    return 4.0 * delta / res + 4.0 * horizon / (nu_small * (res - delta))
 
 
 def exit_time_bound_check(env, x, r: float, delta: float, horizon: float,
@@ -399,7 +397,8 @@ def exit_time_bound_check(env, x, r: float, delta: float, horizon: float,
 
     When the ball covers the whole space both sides degenerate to zero.
     """
-    bound, res = _exit_time_bound(env, x, r, delta, horizon)
+    res = boundary_resistance(env.network, x, r)
+    bound = _exit_time_bound(env, x, res, delta, horizon)
     if math.isinf(res):
         return ExitTimeCheck(0.0, 0.0, 0.0, 0.0)
     phat, lo, hi = _exit_interval(env, x, r, horizon, rng_or_stream, n_paths)
@@ -444,7 +443,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     gen = env.generator
     net = env.network
     ix = net.index(x)
-    p_xx = float(gen.kernel_matrix(t)[ix, ix])
+    p_xx = float(gen.kernel_row(x, t)[ix])
     stat_bound = float(gen.stationary[ix])
 
     closed_ball = np.flatnonzero(net.resistance_matrix[ix] <= eps + ball_tolerance(eps))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidBounds,
@@ -26,7 +28,7 @@ from .errors import (
     TooLargeForEnumeration,
     TrapnetsError,
 )
-from .networks import ElectricalNetwork, build_network
+from .networks import ElectricalNetwork, add_unit_edges, build_network
 from .rng import as_generator
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -344,52 +346,22 @@ def surplus_attachment(tree: PlaneTree, p: float, rng_or_stream) -> ElectricalNe
     rng = as_generator(rng_or_stream)
     walk = coding_functions(tree).walk
     points = binomial_pointset_under_walk(walk, p, rng)
-    cond: dict = {}
-
-    def bump(u, v):
-        key = (u, v) if (v, u) not in cond else (v, u)
-        cond[key] = cond.get(key, 0.0) + 1.0
-
-    for i in range(1, tree.size):
-        bump(tree.labels[tree.parent[i]], tree.labels[i])
-    for x, z in attachment_markers(walk, points):
-        bump(tree.labels[x], tree.labels[z])
-    edge_list = [(u, v, w) for (u, v), w in cond.items()]
-    return build_network(sorted(tree.labels), edge_list, root=tree.labels[0])
+    markers = [(tree.labels[x], tree.labels[z]) for x, z in attachment_markers(walk, points)]
+    return add_unit_edges(tree.network(), markers)
 
 
 # ---------------------------------------------------------------------------
 # Critical Erdos-Renyi largest component
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-
 def er_largest_component(n: int, lam: float, rng_or_stream) -> ElectricalNetwork:
     """Largest component of G(n, 1/n + lam * n^(-4/3)) with unit conductances.
 
     Vertices are labeled 1..n; ties between equal-sized components go to the
-    one containing the smallest label, which also becomes the root.
+    one containing the smallest label, which also becomes the root.  Edges
+    are found by geometric skips over the n(n-1)/2 pairs in row order, one
+    uniform per skip; the uniforms are drawn in blocks, so a numpy generator
+    passed in is left further along its stream than the skips need.
     """
     if n < 2:
         raise TrapnetsError("need at least two vertices")
@@ -398,26 +370,29 @@ def er_largest_component(n: int, lam: float, rng_or_stream) -> ElectricalNetwork
         raise InvalidWindow(f"edge probability {p} outside (0, 1)")
     rng = as_generator(rng_or_stream)
     total_pairs = n * (n - 1) // 2
-    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    expected = p * total_pairs
+    block = int(expected + 4.0 * math.sqrt(expected)) + 16
     log_q = math.log1p(-p)
-    uf = _UnionFind(n)
-    edges = []
-    idx = -1
-    while True:
-        idx += 1 + int(math.log(1.0 - rng.random()) / log_q)
-        if idx >= total_pairs:
-            break
-        i = int(np.searchsorted(row_starts, idx, side="right")) - 1
-        j = i + 1 + (idx - int(row_starts[i]))
-        edges.append((i, j))
-        uf.union(i, j)
-    sizes: dict = {}
-    for v in range(n):
-        r = uf.find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    best = max(sizes.values())
-    champion = min(r for r, s in sizes.items() if s == best)
-    members = sorted(v for v in range(n) if uf.find(v) == champion)
-    keep = set(members)
-    comp_edges = [(u + 1, v + 1, 1.0) for u, v in edges if u in keep]
-    return build_network([v + 1 for v in members], comp_edges, root=members[0] + 1)
+    chunks = []
+    last = -1
+    while last < total_pairs:
+        tails = 1.0 - rng.random(block)
+        # math.log, not np.log: the two differ in the last bit on some inputs.
+        gaps = np.fromiter(map(math.log, tails), float, block) / log_q
+        skips = 1 + np.minimum(gaps, total_pairs).astype(np.int64)
+        idx = last + np.cumsum(skips)
+        last = int(idx[-1])
+        chunks.append(idx[idx < total_pairs])
+    idx = np.concatenate(chunks)
+    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    i = np.searchsorted(row_starts, idx, side="right") - 1
+    j = i + 1 + (idx - row_starts[i])
+    graph = coo_matrix((np.ones(len(idx)), (i, j)), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    sizes = np.bincount(comp)
+    # The first vertex in a largest component holds that component's smallest label.
+    champion = comp[np.argmax(sizes[comp] == sizes.max())]
+    members = np.flatnonzero(comp == champion) + 1
+    keep = comp[i] == champion
+    comp_edges = [(a, b, 1.0) for a, b in zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())]
+    return build_network(members.tolist(), comp_edges, root=int(members[0]))

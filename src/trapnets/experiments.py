@@ -343,7 +343,7 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
 
 def _window_exit_bound(env, config: ExperimentConfig) -> float:
     """Exit bound for leaving the truncated path window over the probed horizon."""
-    from .dynamics import exit_time_bound
+    from .dynamics import _exit_time_bound
     from .networks import boundary_resistance
 
     net = env.network
@@ -352,9 +352,7 @@ def _window_exit_bound(env, config: ExperimentConfig) -> float:
     res = boundary_resistance(net, net.root, r)
     horizon = (env.scale.a * env.scale.c * max(config.t_grid)
                + env.scale.c * max(config.s_grid))
-    if math.isinf(res):
-        return 0.0
-    return min(exit_time_bound(env, net.root, r, 0.5 * res, horizon), 1.0)
+    return min(_exit_time_bound(env, net.root, res, 0.5 * res, horizon), 1.0)
 
 
 def _phi_evaluator(env, root, s, t):

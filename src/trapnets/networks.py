@@ -146,8 +146,7 @@ class ElectricalNetwork:
 
     def total_conductance(self, v) -> float:
         """mu(x) = sum_y mu(x,y), the total conductance at a vertex."""
-        self.index(v)
-        return float(sum(self._adj[v].values()))
+        return float(self.total_conductance_vector[self.index(v)])
 
     def edges(self) -> list:
         """Edges as (u, v, weight) with u, v in stored (canonical) order."""
@@ -165,23 +164,24 @@ class ElectricalNetwork:
 
     @cached_property
     def total_conductance_vector(self) -> np.ndarray:
-        """mu(x) for every vertex, in vertex order."""
+        """mu(x) for every vertex, in vertex order.
+
+        Each vertex sums its edge weights in stored edge order (the ends of
+        edge k are added before those of edge k + 1), so every mu(x) and the
+        Laplacian diagonal round the same way.
+        """
         out = np.zeros(self.n_vertices)
         iu, iv, w = self.edge_arrays
-        np.add.at(out, iu, w)
-        np.add.at(out, iv, w)
+        np.add.at(out, np.column_stack((iu, iv)).ravel(), np.repeat(w, 2))
         return out
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        n = self.n_vertices
-        lap = np.zeros((n, n))
-        for (u, v), w in self._cond.items():
-            iu, iv = self._index[u], self._index[v]
-            lap[iu, iv] -= w
-            lap[iv, iu] -= w
-            lap[iu, iu] += w
-            lap[iv, iv] += w
+        lap = np.zeros((self.n_vertices, self.n_vertices))
+        iu, iv, w = self.edge_arrays
+        lap[iu, iv] = -w
+        lap[iv, iu] = -w
+        np.fill_diagonal(lap, self.total_conductance_vector)
         return lap
 
     @cached_property

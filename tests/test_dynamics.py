@@ -334,6 +334,14 @@ class TestReturnProbabilityBounds:
             expected = two_state_kernel(1.0, 2.0, 6.0, t)[0, 0]
             assert chk.kernel_value == pytest.approx(expected, abs=1e-12)
 
+    def test_kernel_value_is_the_kernel_row_entry(self):
+        env = make_environment(sierpinski(2).network, TrapLaw(0.5), 1.0, 2.0, RngStream(96))
+        for x in env.network.vertex_ids[:5]:
+            for t in (0.0, 0.3, 4.0):
+                chk = return_probability_bounds_check(env, x, t, eps=0.2)
+                row = env.generator.kernel_row(x, t)
+                assert chk.kernel_value == row[env.network.index(x)]
+
     def test_stationary_limit_attained(self):
         env = two_state_env()
         chk = return_probability_bounds_check(env, 1, 1e8, eps=0.1)

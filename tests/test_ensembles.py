@@ -322,6 +322,26 @@ class TestErLargestComponent:
         net = er_largest_component(500, 1.0, RngStream(20))
         assert net.root == min(net.vertex_ids)
 
+    @pytest.mark.parametrize("k, root", [(81, 1), (14, 6)])
+    def test_tie_goes_to_smallest_label(self, k, root):
+        # Two largest components of equal size; the one holding the smaller
+        # label wins (k = 81: size-10 components with smallest labels 1 and 3).
+        net = er_largest_component(100, 0.0, RngStream(7).child(100, k))
+        assert net.root == root == min(net.vertex_ids)
+
+    @pytest.mark.parametrize("n, digest", [
+        (50, "d4250d9209ba064502d304510c5bf08cccb19c9307f16a46b8ec733f584973a3"),
+        (1000, "55c746ce776517f3d8782696978a416e0e4dc97a727dc39612e2994469daaa8d"),
+        (4000, "f03cdf806fcb996c62366e2fcc5337961c0ab7bf5c4b9937e5c42f0d2f98dbd6"),
+    ])
+    def test_pinned_components(self, n, digest):
+        # Streams whose largest component is unique, so no tie rule applies.
+        import hashlib
+
+        net = er_largest_component(n, 0.0, RngStream(5).child(n))
+        seen = hashlib.sha256(repr((net.vertex_ids, net.edges(), net.root)).encode())
+        assert seen.hexdigest() == digest
+
     def test_component_size_scaling(self):
         # Median of |C1| n^(-2/3) stays within a factor 2 across n.
         stream = RngStream(21)

@@ -229,6 +229,24 @@ class TestWindowCertification:
         # the wider window certifies a smaller exit probability
         assert rows[8] <= rows[6]
 
+    def test_one_boundary_solve_per_level(self, monkeypatch):
+        from trapnets import networks
+
+        solves = []
+        real = networks.resistance_between_sets
+
+        def counting(*args):
+            solves.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(networks, "resistance_between_sets", counting)
+        cfg = ExperimentConfig.from_dict({
+            "ensemble": "conductance_path", "levels": [2, 3], "alpha": 0.5,
+            "seed": 4, "replicas": 1, "s_grid": [1.0], "t_grid": [2.0]})
+        table = run_aging_experiment(cfg)
+        assert len(table.select("window_exit_bound")) == 2
+        assert len(solves) == 2
+
     def test_tables_reproducible(self):
         cfg = gasket_config(levels=[1, 2], replicas=30)
         assert run_trap_convergence(cfg).to_csv() == run_trap_convergence(cfg).to_csv()

@@ -241,6 +241,24 @@ class TestDegreeMarkedMeasure:
 
 
 class TestRandomSuite:
+    def test_one_total_conductance(self):
+        # mu(x) per vertex, the mu vector and the Laplacian diagonal round the
+        # same way; the Laplacian equals the edge-by-edge reference build.
+        rng = RngStream(23).generator()
+        for _ in range(40):
+            net = random_connected_network(int(rng.integers(2, 31)), rng)
+            mu = net.total_conductance_vector
+            assert all(net.total_conductance(v) == m for v, m in zip(net.vertex_ids, mu))
+            assert np.array_equal(np.diag(net.laplacian), mu)
+            ref = np.zeros((net.n_vertices, net.n_vertices))
+            for u, v, w in net.edges():
+                iu, iv = net.index(u), net.index(v)
+                ref[iu, iv] -= w
+                ref[iv, iu] -= w
+                ref[iu, iu] += w
+                ref[iv, iv] += w
+            assert np.array_equal(net.laplacian, ref)
+
     def test_metric_axioms(self):
         rng = RngStream(21).generator()
         for _ in range(30):
