@@ -44,8 +44,8 @@ def _cmd_generate(args) -> int:
             ensembles.uniform_cayley_tree(args.size, stream), args.size)
         _write(args.out, serialize.network_to_json(tree.network()))
     elif args.ensemble == "tilted":
-        tree = ensembles.tilted_tree(args.size, args.p, stream)
-        net = ensembles.surplus_attachment(tree, args.p, stream)
+        tree = ensembles.tilted_tree(args.size, args.p, stream.child(0))
+        net = ensembles.surplus_attachment(tree, args.p, stream.child(1))
         _write(args.out, serialize.network_to_json(net))
     elif args.ensemble == "er":
         net = ensembles.er_largest_component(args.size, args.lam, stream)

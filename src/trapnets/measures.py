@@ -7,10 +7,11 @@ restriction functionals of point measures, Hausdorff and local Hausdorff
 set distances, correspondence distortion with metric gluing, and a
 compact-convergence distance for partial maps with variable domains.
 
-A carrier is any object exposing ``root``, ``distance(p, q)``,
-``root_distance(p)`` and ``has_point(p)``; :class:`~trapnets.networks.FiniteMetricSpace`
-is the concrete finite case, and :class:`ProductCarrier` adjoins the
-log-metric weight axis used by point maps.
+A carrier is any object exposing ``root``, ``distance(p, q)``, the cross
+matrix ``distances(ps, qs)``, ``root_distance(p)`` and ``has_point(p)``;
+:class:`~trapnets.networks.FiniteMetricSpace` is the concrete finite case,
+and :class:`ProductCarrier` adjoins the log-metric weight axis used by point
+maps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class ProductCarrier:
     def distance(self, a, b) -> float:
         (p, v), (q, w) = a, b
         return max(self.base.distance(p, q), abs(math.log(v) - math.log(w)))
+
+    def distances(self, a_pts, b_pts) -> np.ndarray:
+        """Matrix of ``distance(a, b)`` over ``a`` in a_pts and ``b`` in b_pts."""
+        base = self.base.distances([p for p, _ in a_pts], [q for q, _ in b_pts])
+        log_a = np.array([math.log(v) for _, v in a_pts])
+        log_b = np.array([math.log(w) for _, w in b_pts])
+        return np.maximum(base, np.abs(log_a[:, None] - log_b[None, :]))
 
     def root_distance(self, a) -> float:
         return self.distance(self.root, a)
@@ -148,47 +156,64 @@ def _max_bipartite_flow(left: np.ndarray, right: np.ndarray, allowed: np.ndarray
     """Max flow source -> left atoms -> right atoms -> sink (Edmonds-Karp).
 
     Cross arcs have effectively infinite capacity, so the min cut picks a set
-    A of left atoms and pays ``left(A^c) + right(neighborhood of A)``.
-    """
-    n_l, n_r = len(left), len(right)
-    n = n_l + n_r + 2
-    source, sink = 0, n - 1
-    cap = np.zeros((n, n))
-    cap[source, 1:1 + n_l] = left
-    cap[1 + n_l:1 + n_l + n_r, sink] = right
-    big = left.sum() + right.sum() + 1.0
-    cap[1:1 + n_l, 1 + n_l:1 + n_l + n_r][allowed] = big
+    A of left atoms and pays ``left(A^c) + right(neighborhood of A)``; their
+    forward residual never limits a path and is not stored.
 
+    The residual network stays bipartite: ``src`` and ``snk`` hold what the
+    source and sink arcs can still carry, and ``flow[i, j]`` what the
+    backward arc from right atom j to left atom i can carry.  The BFS layers
+    alternate left -> right through ``allowed`` and right -> left through
+    ``flow``, and each node's parent is the lowest-index node of the previous
+    layer that reaches it, so the shortest augmenting paths are the ones a
+    node-by-node scan of the full residual matrix would find.
+    """
+    src = np.array(left, dtype=float)
+    snk = np.array(right, dtype=float)
+    flow = np.zeros(allowed.shape)
+    left_parent = np.zeros(len(src), dtype=int)     # right parent; -1 is the source
+    right_parent = np.zeros(len(snk), dtype=int)
     total = 0.0
     while True:
-        # BFS for a shortest augmenting path, vectorized over the frontier.
-        parent = np.full(n, -1, dtype=int)
-        parent[source] = source
-        frontier = np.zeros(n, dtype=bool)
-        frontier[source] = True
-        found = False
-        while frontier.any() and not found:
-            reach = (cap[frontier] > _FLOW_TOL).any(axis=0)
-            fresh = reach & (parent == -1)
+        frontier = src > _FLOW_TOL
+        seen_left = frontier.copy()
+        seen_right = np.zeros(len(snk), dtype=bool)
+        left_parent[:] = -1
+        end = -1
+        while True:
+            hit = allowed & frontier[:, None]
+            fresh = hit.any(axis=0) & ~seen_right
             if not fresh.any():
                 break
-            rows = np.flatnonzero(frontier)
-            for j in np.flatnonzero(fresh):
-                src = rows[cap[rows, j] > _FLOW_TOL][0]
-                parent[j] = src
-            if parent[sink] != -1:
-                found = True
-            frontier = fresh
-        if parent[sink] == -1:
+            right_parent[fresh] = hit[:, fresh].argmax(axis=0)
+            seen_right |= fresh
+            open_sink = fresh & (snk > _FLOW_TOL)
+            first = int(open_sink.argmax())
+            if open_sink[first]:
+                end = first
+                break
+            back = (flow > _FLOW_TOL) & fresh
+            frontier = back.any(axis=1) & ~seen_left
+            left_parent[frontier] = back[frontier].argmax(axis=1)
+            seen_left |= frontier
+        if end < 0:
             return float(total)
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(cap[u, v] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            cap[u, v] -= bottleneck
-            cap[v, u] += bottleneck
+        forward, backward = [], []
+        j = end
+        while True:
+            i = right_parent[j]
+            forward.append((i, j))
+            if left_parent[i] < 0:
+                break
+            j = left_parent[i]
+            backward.append((i, j))
+        # i is now the left atom that the source arc feeds.
+        bottleneck = min(snk[end], src[i], *(flow[a] for a in backward))
+        snk[end] -= bottleneck
+        for a in forward:
+            flow[a] += bottleneck
+        for a in backward:
+            flow[a] -= bottleneck
+        src[i] -= bottleneck
         total += bottleneck
 
 
@@ -222,7 +247,7 @@ def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         return float(wb.sum())
     if not pb:
         return float(wa.sum())
-    cross = np.array([[mu.carrier.distance(p, q) for q in pb] for p in pa])
+    cross = mu.carrier.distances(pa, pb)
     levels = np.unique(np.concatenate(([0.0], cross.ravel())))
     tot = max(wa.sum(), wb.sum())
 
@@ -262,7 +287,7 @@ def prohorov_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure, max_support: i
         return float(wb.sum())
     if not pb:
         return float(wa.sum())
-    cross = np.array([[mu.carrier.distance(p, q) for q in pb] for p in pa])
+    cross = mu.carrier.distances(pa, pb)
     levels = np.unique(np.concatenate(([0.0], cross.ravel())))
 
     def worst_deficiency(eps: float) -> float:
@@ -374,9 +399,8 @@ def hausdorff(a_set: Sequence, b_set: Sequence, carrier) -> float:
         return 0.0
     if not a or not b:
         return math.inf
-    d_ab = max(min(carrier.distance(x, y) for y in b) for x in a)
-    d_ba = max(min(carrier.distance(x, y) for x in a) for y in b)
-    return max(d_ab, d_ba)
+    d = carrier.distances(a, b)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def local_hausdorff(a_set: Sequence, b_set: Sequence, carrier) -> float:

@@ -76,6 +76,10 @@ class FiniteMetricSpace:
     def distance(self, p, q) -> float:
         return float(self.dist[self.index(p), self.index(q)])
 
+    def distances(self, ps, qs) -> np.ndarray:
+        """Matrix of ``distance(p, q)`` over ``p`` in ps (rows) and ``q`` in qs."""
+        return self.dist[np.ix_([self.index(p) for p in ps], [self.index(q) for q in qs])]
+
     def root_distance(self, p) -> float:
         return self.distance(self.root, p)
 

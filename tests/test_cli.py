@@ -3,7 +3,9 @@ import json
 import pytest
 
 from trapnets.cli import main
+from trapnets.ensembles import surplus_attachment, tilted_tree
 from trapnets.experiments import ExperimentConfig, run_two_point_experiment
+from trapnets.rng import RngStream
 from trapnets.serialize import (
     discrete_measure_from_json,
     environment_from_json,
@@ -66,6 +68,14 @@ class TestGenerate:
                     reached.add(w)
                     frontier.append(w)
         assert reached == set(range(1, 13))
+
+    def test_tilted_draws_tree_and_surplus_from_child_streams(self, tmp_path):
+        out = tmp_path / "tilted.json"
+        assert main(["generate", "--ensemble", "tilted", "--size", "8", "--p", "0.5",
+                     "--seed", "3", "--out", str(out)]) == 0
+        tree = tilted_tree(8, 0.5, RngStream(3).child(0))
+        expected = surplus_attachment(tree, 0.5, RngStream(3).child(1))
+        assert out.read_text() == network_to_json(expected)
 
 
 class TestRoundTrips:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from trapnets import (
     vardom_distance,
 )
 from trapnets.errors import CarrierMismatch, NotACorrespondence
-from trapnets.measures import ProductCarrier
+from trapnets.measures import ProductCarrier, _max_bipartite_flow
 from trapnets.networks import FiniteMetricSpace
 from trapnets.rng import RngStream
 from trapnets.validate import random_connected_network, random_measure_pair
@@ -66,11 +67,79 @@ class TestProhorov:
         assert prohorov(a, c) <= prohorov(a, b) + prohorov(b, c) + 1e-12
         assert prohorov(a, a) == 0.0
 
+    def test_flow_equals_networkx(self):
+        import networkx as nx
+
+        rng = RngStream(33).generator()
+        for trial in range(150):
+            n_l, n_r = (int(k) for k in rng.integers(1, 13, size=2))
+            left = rng.pareto(0.8, n_l) + 1e-3
+            right = rng.pareto(0.8, n_r) + 1e-3
+            allowed = rng.random((n_l, n_r)) < rng.uniform(0.05, 0.8)
+            if trial % 3 == 0:
+                allowed[int(rng.integers(n_l))] = False
+                allowed[:, int(rng.integers(n_r))] = False
+            g = nx.DiGraph()
+            g.add_nodes_from(["s", "t"])
+            for i, w in enumerate(left):
+                g.add_edge("s", ("l", i), capacity=float(w))
+            for j, w in enumerate(right):
+                g.add_edge(("r", j), "t", capacity=float(w))
+            for i, j in zip(*np.nonzero(allowed)):
+                g.add_edge(("l", int(i)), ("r", int(j)))     # no capacity: unbounded
+            expected = nx.maximum_flow_value(g, "s", "t")
+            assert _max_bipartite_flow(left, right, allowed) == pytest.approx(expected, rel=1e-12)
+
+    def test_pinned_heavy_tailed_values(self):
+        # sha256 of prohorov and vague_distance on Pareto-weighted measure
+        # pairs, half of them on the product carrier; recorded before the
+        # flow and the cross matrix were vectorised.
+        rng = RngStream(51).generator()
+        values = []
+        for _ in range(200):
+            space = random_connected_network(int(rng.integers(3, 9)), rng).resistance_space
+            product = ProductCarrier(space)
+            pts = space.point_ids
+
+            def one(lift):
+                k = min(int(rng.integers(1, 7)), len(pts))
+                chosen = rng.choice(len(pts), size=k, replace=False)
+                if lift:
+                    return DiscreteMeasure(product, {
+                        (pts[i], float(rng.pareto(0.8)) + 1e-3): 0.1 * float(rng.pareto(0.8)) + 1e-3
+                        for i in chosen})
+                return DiscreteMeasure(space, {pts[i]: 0.1 * float(rng.pareto(0.8)) + 1e-3
+                                               for i in chosen})
+
+            lift = bool(rng.integers(0, 2))
+            mu, nu = one(lift), one(lift)
+            values += [prohorov(mu, nu), vague_distance(mu, nu)]
+        digest = hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "6f4a0b1f05f66115d4cb1a75e796dd2bc9bddb1fe1c5fbac01b160aae543afc8"
+
     def test_carrier_mismatch(self):
         s1 = line_space([0.0, 1.0])
         s2 = line_space([0.0, 1.0])
         with pytest.raises(CarrierMismatch):
             prohorov(DiscreteMeasure(s1, {0: 1.0}), DiscreteMeasure(s2, {0: 1.0}))
+
+
+class TestCarrierDistances:
+    def test_cross_matrix_equals_pairwise(self):
+        rng = RngStream(34).generator()
+        space = random_connected_network(9, rng).resistance_space
+        product = ProductCarrier(space)
+        for _ in range(20):
+            ps = [space.point_ids[i] for i in rng.integers(0, 9, size=int(rng.integers(1, 6)))]
+            qs = [space.point_ids[i] for i in rng.integers(0, 9, size=int(rng.integers(1, 6)))]
+            for carrier, a, b in (
+                    (space, ps, qs),
+                    (product, [(p, float(rng.pareto(0.8)) + 1e-3) for p in ps],
+                     [(q, float(rng.pareto(0.8)) + 1e-3) for q in qs])):
+                d = carrier.distances(a, b)
+                assert d.shape == (len(a), len(b))
+                assert all(d[i, j] == carrier.distance(x, y)
+                           for i, x in enumerate(a) for j, y in enumerate(b))
 
 
 class TestRestrict:
