@@ -28,7 +28,7 @@ from .errors import (
     TrapnetsError,
 )
 from .measures import DiscreteMeasure
-from .networks import ElectricalNetwork, ball_tolerance, boundary_resistance
+from .networks import ElectricalNetwork, ball_mask, boundary_resistance
 from .rng import as_generator
 
 _ROW_SUM_TOL = 1e-10
@@ -386,8 +386,10 @@ def _exit_time_bound(env, x, res: float, delta: float, horizon: float) -> float:
             f"delta must lie in (0, R(x, ball complement)) = (0, {res})")
     net = env.network
     ix = net.index(x)
-    small_ball = np.flatnonzero(net.resistance_matrix[ix] < delta - ball_tolerance(delta))
-    nu_small = float(sum(env.generator.nu_values[i] for i in small_ball))
+    small_ball = ball_mask(net.resistance_matrix[ix], delta)
+    # The centre belongs to its ball even when the snap width exceeds delta.
+    small_ball[ix] = True
+    nu_small = float(sum(env.generator.nu_values[small_ball]))
     return 4.0 * delta / res + 4.0 * horizon / (nu_small * (res - delta))
 
 
@@ -411,7 +413,7 @@ def _exit_interval(env, x, radius: float, horizon: float, rng_or_stream, n_paths
     ix = env.network.index(x)
     row = env.network.resistance_matrix[ix]
     # The centre belongs to its ball even when the snap width exceeds the radius.
-    ball = set(np.flatnonzero(row < radius - ball_tolerance(radius))) | {ix}
+    ball = set(np.flatnonzero(ball_mask(row, radius))) | {ix}
     tables = _gillespie_tables(env.generator)
     rng = as_generator(rng_or_stream)
     exits = sum(_run_chain(tables, ix, horizon, rng, inside=ball) not in ball
@@ -446,7 +448,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     p_xx = float(gen.kernel_row(x, t)[ix])
     stat_bound = float(gen.stationary[ix])
 
-    closed_ball = np.flatnonzero(net.resistance_matrix[ix] <= eps + ball_tolerance(eps))
+    closed_ball = np.flatnonzero(ball_mask(net.resistance_matrix[ix], eps, closed=True))
     nu_ball = float(gen.nu_values[closed_ball].sum())
     mass_ratio = float(gen.nu_values[ix]) / nu_ball
     if n_paths > 0 and rng_or_stream is not None:

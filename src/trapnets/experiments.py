@@ -28,7 +28,7 @@ from .ensembles import (
 )
 from .errors import ConfigError, TrapnetsError
 from .measures import DiscreteMeasure, dis_measure_distance, local_hausdorff
-from .networks import FiniteMetricSpace
+from .networks import FiniteMetricSpace, ball_mask
 from .rng import RngStream
 from .traps import ScaleTriple, TrapEnvironment, TrapLaw, scaling_constant, truncated_prm
 from .serialize import format_value
@@ -418,7 +418,7 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
 
         masks = []
         for r, u in boxes:
-            masks.append((np.flatnonzero(root_row < r), float(u)))
+            masks.append((np.flatnonzero(ball_mask(root_row, r)), float(u)))
 
         reps = config.replicas
         cells: list = []

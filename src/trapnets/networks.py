@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DisconnectedGraph,
@@ -31,7 +32,6 @@ from .errors import (
     UnknownVertex,
 )
 
-_EIG_ZERO_TOL = 1e-9
 _BALL_SNAP = 1e-12
 
 
@@ -40,9 +40,21 @@ def ball_tolerance(r: float) -> float:
 
     Distances within this width of the radius are treated as exactly equal to
     it, so radii chosen at realized distances behave like the exact metric
-    despite eigendecomposition rounding.
+    despite factorization rounding.
     """
     return _BALL_SNAP * max(1.0, abs(r))
+
+
+def ball_mask(row: np.ndarray, radius: float, closed: bool = False) -> np.ndarray:
+    """Membership of each distance in ``row`` in the ball of ``radius``.
+
+    The open ball keeps distances below ``radius`` by more than
+    :func:`ball_tolerance`; the closed ball keeps those at most that width
+    above it.  A distance that rounds onto the radius is therefore on the
+    sphere, whichever way the solver's last bit fell.
+    """
+    tol = ball_tolerance(radius)
+    return row <= radius + tol if closed else row < radius - tol
 
 
 @dataclass(frozen=True)
@@ -82,13 +94,6 @@ class FiniteMetricSpace:
 
     def root_distance(self, p) -> float:
         return self.distance(self.root, p)
-
-    def ball(self, center, radius: float, closed: bool = False) -> list:
-        """Points within ``radius`` of ``center`` (open ball by default)."""
-        row = self.dist[self.index(center)]
-        tol = ball_tolerance(radius)
-        keep = row <= radius + tol if closed else row < radius - tol
-        return [p for p, k in zip(self.point_ids, keep) if k]
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check the metric axioms; raises on violation."""
@@ -189,27 +194,25 @@ class ElectricalNetwork:
         return lap
 
     @cached_property
-    def _pinv_eig(self):
-        # Eigendecomposition of the Laplacian; the single zero mode is the
-        # constant vector on a connected network.
-        try:
-            w, u = np.linalg.eigh(self.laplacian)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailure(str(exc)) from exc
-        inv = np.zeros_like(w)
-        scale = max(abs(w[-1]), 1.0)
-        nonzero = np.abs(w) > _EIG_ZERO_TOL * scale
-        inv[nonzero] = 1.0 / w[nonzero]
-        return w, u, inv
-
-    @cached_property
     def resistance_matrix(self) -> np.ndarray:
-        """All-pairs effective resistance via the Laplacian pseudo-inverse."""
-        _, u, inv = self._pinv_eig
-        lplus = (u * inv) @ u.T
-        d = np.diag(lplus)
-        r = d[:, None] + d[None, :] - 2.0 * lplus
-        r = np.maximum(r, 0.0)
+        """All-pairs effective resistance R(x, y) = g_xx + g_yy - 2 g_xy.
+
+        g inverts the Laplacian with the root row and column removed, which is
+        positive definite on a connected network, through one Cholesky
+        factorization; its root row and column are zero.  Conductances spread
+        beyond double precision fail the factorization and raise
+        :class:`NumericalFailure`.
+        """
+        n = self.n_vertices
+        keep = np.arange(n) != self.index(self.root)
+        g = np.zeros((n, n))
+        try:
+            factor = scipy.linalg.cho_factor(self.laplacian[np.ix_(keep, keep)])
+            g[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"grounded Laplacian is not positive definite: {exc}") from exc
+        d = np.diag(g)
+        r = d[:, None] + d[None, :] - 2.0 * g
         r = 0.5 * (r + r.T)
         np.fill_diagonal(r, 0.0)
         return r
@@ -264,20 +267,8 @@ def build_network(vertices: Iterable[int], weighted_edges: Iterable, root: int) 
 
 
 def effective_resistance(net: ElectricalNetwork, x, y) -> float:
-    """R(x, y), computed from a single grounded Laplacian solve."""
-    ix, iy = net.index(x), net.index(y)
-    if ix == iy:
-        return 0.0
-    n = net.n_vertices
-    keep = [i for i in range(n) if i != iy]
-    rhs = np.zeros(n - 1)
-    rhs[keep.index(ix)] = 1.0
-    sub = net.laplacian[np.ix_(keep, keep)]
-    try:
-        v = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
-    return float(v[keep.index(ix)])
+    """R(x, y), read from :attr:`ElectricalNetwork.resistance_matrix`."""
+    return float(net.resistance_matrix[net.index(x), net.index(y)])
 
 
 def resistance_between_sets(net: ElectricalNetwork, a_set: Iterable, b_set: Iterable) -> float:
@@ -320,10 +311,8 @@ def boundary_resistance(net: ElectricalNetwork, x, r: float) -> float:
     """
     if not r > 0:
         raise TrapnetsError("radius must be positive")
-    ix = net.index(x)
-    row = net.resistance_matrix[ix]
-    tol = ball_tolerance(r)
-    complement = [v for v, d in zip(net.vertex_ids, row) if d >= r - tol]
+    outside = ~ball_mask(net.resistance_matrix[net.index(x)], r)
+    complement = [v for v, out in zip(net.vertex_ids, outside) if out]
     if not complement:
         return math.inf
     return resistance_between_sets(net, [x], complement)

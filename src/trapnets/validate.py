@@ -235,7 +235,7 @@ def _check_kernel_suite(seed: int, count: int):
         space = net.resistance_space
         row = net.resistance_matrix[net.index(net.root)]
         for r in np.quantile(row[row > 0], [0.5, 1.0]):
-            inside = np.flatnonzero(row <= r + networks.ball_tolerance(r))
+            inside = np.flatnonzero(networks.ball_mask(row, r, closed=True))
             nu_ball = gen.nu_values[inside].sum()
             bound = 2.0 * r / t + math.sqrt(2.0) / nu_ball
             if np.max(diag[inside]) > bound + 1e-9:

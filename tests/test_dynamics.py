@@ -7,6 +7,7 @@ from trapnets import (
     TrapLaw,
     aging_phi,
     build_network,
+    exit_time_bound,
     exit_time_bound_check,
     generator,
     make_environment,
@@ -305,6 +306,14 @@ class TestExitTimeBound:
         env = make_environment(unit_triangle, TrapLaw(0.5), 1.0, 2.0, RngStream(88))
         with pytest.raises(PreconditionViolated):
             exit_time_bound_check(env, 1, 0.5, 10.0, 1.0, RngStream(89), 10)
+
+    def test_delta_below_snap_width(self):
+        # The open delta-ball is empty by the snap rule; the centre keeps it
+        # from having zero mass.
+        net = sierpinski(2).network
+        env = make_environment(net, TrapLaw(0.5), 1.0, 2.0, RngStream(88))
+        bound = exit_time_bound(env, net.root, 0.5, 1e-13, 1.0)
+        assert math.isfinite(bound) and bound > 0
 
     def test_bound_holds_on_random_instances(self):
         rng = RngStream(90).generator()

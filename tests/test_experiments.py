@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from trapnets.ensembles import sierpinski
 from trapnets.errors import ConfigError
 from trapnets.experiments import (
     ExperimentConfig,
@@ -13,6 +16,7 @@ from trapnets.experiments import (
     run_trap_convergence,
     run_two_point_experiment,
 )
+from trapnets.networks import ball_tolerance
 from trapnets.rng import RngStream
 from trapnets.traps import TrapLaw
 
@@ -134,6 +138,28 @@ class TestTrapConvergence:
         table = run_trap_convergence(cfg)
         rows = table.select("pi_void_empirical")
         assert rows and all(r.value == 1.0 for r in rows)
+
+    def test_default_box_radius_ties_are_outside(self):
+        # Default radii are quantiles of the realized root resistances; at
+        # level 3 and seed 3 the radius 0.51872 equals the resistance of two
+        # vertices, which the open box must leave out however they rounded.
+        import networkx as nx
+
+        cfg = gasket_config(levels=[1, 2, 3], seed=3, replicas=6)
+        law = cfg.law()
+        scale = default_scales("sierpinski", 3, law)
+        net = sierpinski(3).network
+        g = nx.Graph()
+        g.add_weighted_edges_from(net.edges())
+        scaled = [nx.resistance_distance(g, net.root, v, weight="weight", invert_weight=False)
+                  / scale.a for v in net.vertex_ids if v != net.root]
+        rows = [row for row in run_trap_convergence(cfg).select("pi_void_expected")
+                if row.n == 3 and abs(row.s - 0.51872) < 1e-9]
+        assert rows
+        for row in rows:
+            count = math.log(row.value) / math.log(1.0 - law.tail(scale.c * row.t))
+            inside = 1 + sum(d < row.s - ball_tolerance(row.s) for d in scaled)
+            assert round(count) == inside
 
 
 class TestMetricConvergence:

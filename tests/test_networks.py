@@ -13,12 +13,14 @@ from trapnets import (
     fuse,
     metric_entropy,
     resistance_between_sets,
+    sierpinski,
 )
 from trapnets.errors import (
     DisconnectedGraph,
     EmptyClass,
     EmptySet,
     NonpositiveConductance,
+    NumericalFailure,
     OverlappingClasses,
     PairNotDistinct,
     SelfLoop,
@@ -63,6 +65,7 @@ class TestBuildNetwork:
     def test_singleton_allowed(self):
         net = build_network([7], [], root=7)
         assert net.total_conductance(7) == 0.0
+        assert net.resistance_matrix.tolist() == [[0.0]]
 
 
 class TestEffectiveResistance:
@@ -83,12 +86,58 @@ class TestEffectiveResistance:
         assert effective_resistance(unit_path3, 2, 2) == 0.0
 
     def test_matrix_agrees_with_pointwise(self):
+        # Reference: the independent Dirichlet solve between singletons.
         rng = RngStream(11).generator()
         net = random_connected_network(12, rng)
         r = net.resistance_matrix
         for x, y in [(0, 5), (3, 11), (7, 2)]:
             assert r[net.index(x), net.index(y)] == pytest.approx(
-                effective_resistance(net, x, y), abs=1e-10)
+                resistance_between_sets(net, [x], [y]), abs=1e-10)
+
+
+class TestResistanceOracles:
+    def test_all_pairs_against_networkx(self):
+        import networkx as nx
+
+        rng = RngStream(12).generator()
+        for _ in range(10):
+            net = random_connected_network(int(rng.integers(2, 16)), rng)
+            g = nx.Graph()
+            g.add_nodes_from(net.vertex_ids)
+            g.add_weighted_edges_from(net.edges())
+            for x, y in itertools.combinations(net.vertex_ids, 2):
+                expected = nx.resistance_distance(g, x, y, weight="weight", invert_weight=False)
+                assert effective_resistance(net, x, y) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_gasket_against_mpmath(self, level):
+        # R(x, y) = g_xx + g_yy - 2 g_xy from the root-grounded inverse at 30 digits.
+        import mpmath as mp
+
+        net = sierpinski(level).network
+        n, ir = net.n_vertices, net.index(net.root)
+        keep = [i for i in range(n) if i != ir]
+        with mp.workdps(30):
+            inv = mp.inverse(mp.matrix([[net.laplacian[i, j] for j in keep] for i in keep]))
+            g = mp.zeros(n, n)
+            for a, i in enumerate(keep):
+                for b, j in enumerate(keep):
+                    g[i, j] = inv[a, b]
+            for i, j in itertools.combinations(range(n), 2):
+                expected = float(g[i, i] + g[j, j] - 2 * g[i, j])
+                assert net.resistance_matrix[i, j] == pytest.approx(expected, rel=1e-12)
+
+    def test_spread_conductances(self):
+        # Exact R(0, 1) is 1e9; the smallest nonzero Laplacian eigenvalue is
+        # about 1e-9 of the largest, below any fixed relative eigen-threshold.
+        net = build_network([0, 1, 2], [(0, 1, 1e-9), (1, 2, 1.0)], root=0)
+        assert net.resistance_matrix[0, 1] == pytest.approx(
+            resistance_between_sets(net, [0], [1]), rel=1e-6)
+
+    def test_spread_beyond_double_precision_raises(self):
+        net = build_network([0, 1, 2], [(0, 1, 1e-17), (1, 2, 1.0)], root=0)
+        with pytest.raises(NumericalFailure):
+            net.resistance_matrix
 
 
 class TestResistanceBetweenSets:
