@@ -194,14 +194,13 @@ class ElectricalNetwork:
         return lap
 
     @cached_property
-    def resistance_matrix(self) -> np.ndarray:
-        """All-pairs effective resistance R(x, y) = g_xx + g_yy - 2 g_xy.
+    def green_matrix(self) -> np.ndarray:
+        """Root-grounded inverse g of the Laplacian: zero root row and column,
+        and on the other vertices the inverse of the Laplacian restricted to
+        them, which is positive definite on a connected network.
 
-        g inverts the Laplacian with the root row and column removed, which is
-        positive definite on a connected network, through one Cholesky
-        factorization; its root row and column are zero.  Conductances spread
-        beyond double precision fail the factorization and raise
-        :class:`NumericalFailure`.
+        Solved through one Cholesky factorization.  Conductances spread
+        beyond double precision fail it and raise :class:`NumericalFailure`.
         """
         n = self.n_vertices
         keep = np.arange(n) != self.index(self.root)
@@ -211,6 +210,14 @@ class ElectricalNetwork:
             g[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"grounded Laplacian is not positive definite: {exc}") from exc
+        return g
+
+    @cached_property
+    def resistance_matrix(self) -> np.ndarray:
+        """All-pairs effective resistance R(x, y) = g_xx + g_yy - 2 g_xy, with g
+        the :attr:`green_matrix` (which raises :class:`NumericalFailure` when
+        the factorization fails)."""
+        g = self.green_matrix
         d = np.diag(g)
         r = d[:, None] + d[None, :] - 2.0 * g
         r = 0.5 * (r + r.T)
@@ -335,7 +342,7 @@ def metric_entropy(space: FiniteMetricSpace, delta: float, exact_limit: int = 20
     if not delta > 0:
         raise TrapnetsError("delta must be positive")
     n = len(space.point_ids)
-    covers = space.dist <= delta
+    covers = ball_mask(space.dist, delta, closed=True)
     masks = [int(sum(1 << j for j in range(n) if covers[i, j])) for i in range(n)]
     full = (1 << n) - 1
 

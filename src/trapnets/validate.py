@@ -243,6 +243,61 @@ def _check_kernel_suite(seed: int, count: int):
     return True, "kernel invariants hold"
 
 
+def green_operator_kernel(gen: dynamics.Generator, t: float):
+    """(P_t, theta): the kernel at time t from a full eigendecomposition of the
+    Green's operator M = P D^(1/2) G D^(1/2) P, with G the inverse of the
+    Laplacian grounded at the heaviest trap (by numpy), and the ascending
+    eigenvalues theta = 1/lambda of M.
+
+    Slow eigenvalues of M keep their relative accuracy, where the dense
+    generator's eigenvalues carry an absolute rounding of about eps |Q|.
+    Modes with theta <= 0 are rounding of the null direction sqrt(nu) or of
+    fast modes, and get weight 0.
+    """
+    net, nu = gen.net, gen.nu_values
+    s = np.sqrt(nu)
+    u = s / np.linalg.norm(s)
+    proj = np.eye(len(nu)) - np.outer(u, u)
+    keep = np.arange(len(nu)) != np.argmax(nu)
+    green = np.zeros((len(nu), len(nu)))
+    green[np.ix_(keep, keep)] = np.linalg.inv(net.laplacian[np.ix_(keep, keep)])
+    m = proj @ (s[:, None] * green * s[None, :]) @ proj
+    theta, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    positive = theta > 0
+    weights = np.zeros_like(theta)
+    weights[positive] = np.exp(-t / theta[positive])
+    kernel = (vecs / s[:, None] * weights) @ (vecs * s[:, None]).T + gen.stationary
+    return kernel, theta
+
+
+def _check_truncated_kernels(seed: int):
+    """Gasket level 5 at t = a*c, two Pareto(0.5) trap draws: the certified
+    slow-mode kernels against a full eigendecomposition of the Green's
+    operator (1e-9), with rows summing to 1 (1e-10)."""
+    net = sierpinski(5).network
+    stream = RngStream(seed).child(16)
+    worst = 0.0
+    for i in range(2):
+        env = traps.make_environment(net, TrapLaw(0.5), (5.0 / 3.0) ** 5, 3.0 ** 5,
+                                     stream.child(i))
+        gen = env.generator
+        t = env.scale.a * env.scale.c
+        slow = gen._slow_modes
+        if slow is None or t < slow[0]:
+            return False, f"draw {i}: truncation not certified at t = a*c"
+        kernel = gen.kernel_matrix(t)
+        reference = green_operator_kernel(gen, t)[0]
+        rows = np.max(np.abs(kernel.sum(axis=1) - 1.0))
+        if rows > 1e-10:
+            return False, f"draw {i}: truncated rows deviate from 1 by {rows:.2e}"
+        gap = max(np.max(np.abs(kernel - reference)),
+                  np.max(np.abs(gen.kernel_diagonal(t) - np.diag(reference))))
+        worst = max(worst, gap)
+        if gap > 1e-9:
+            return False, f"draw {i}: truncated kernel differs from the reference by {gap:.2e}"
+    return True, f"worst gap to the Green's operator kernel {worst:.2e}"
+
+
 def _check_gasket(max_level: int):
     prev = None
     for n in range(0, max_level + 1):
@@ -277,6 +332,7 @@ def run_suite(seed: int = 0, quick: bool = True):
         ("measures.glue_metric_axioms", lambda: _check_glue(seed, count)),
         ("traps.scaling_identity", lambda: _check_scaling_identity(seed, count if quick else 100)),
         ("dynamics.kernel_invariants", lambda: _check_kernel_suite(seed, 10 if quick else 40)),
+        ("dynamics.truncated_kernels", lambda: _check_truncated_kernels(seed)),
         ("ensembles.gasket_closed_forms", lambda: _check_gasket(4 if quick else 8)),
     ]
     results = []

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from trapnets import dynamics
 from trapnets import (
     TrapLaw,
     aging_phi,
@@ -19,11 +21,17 @@ from trapnets import (
     transition_kernel,
 )
 from trapnets.dynamics import simulate_marginal
-from trapnets.errors import NonpositiveTime, PreconditionViolated, SupportMismatch
+from trapnets.errors import (
+    NonpositiveTime,
+    NumericalFailure,
+    PreconditionViolated,
+    SupportMismatch,
+)
 from trapnets.measures import DiscreteMeasure
+from trapnets.networks import ElectricalNetwork
 from trapnets.rng import RngStream
 from trapnets.traps import ScaleTriple, TrapEnvironment
-from trapnets.validate import random_connected_network
+from trapnets.validate import green_operator_kernel, random_connected_network
 
 from conftest import two_state_kernel
 
@@ -426,3 +434,185 @@ class TestPinnedJumpChain:
         env, root, unit = gasket_env
         chk = return_probability_bounds_check(env, root, 0.05 * unit, 1.4, RngStream(14), 200)
         assert chk.local_bound == -0.09428436671377685
+
+
+class TestTruncatedKernels:
+    """Gasket level 5 (366 vertices) takes its kernels at aging times from the
+    certified slow modes of the Green's operator; elsewhere from the dense
+    eigendecomposition."""
+
+    @pytest.fixture(scope="class")
+    def level5(self):
+        return sierpinski(5).network
+
+    @staticmethod
+    def env(net, alpha, draw):
+        return make_environment(net, TrapLaw(alpha), (5 / 3) ** 5, 3.0 ** 5,
+                                RngStream(72).child(round(100 * alpha), draw))
+
+    @staticmethod
+    def dense(gen, t):
+        """Root row and diagonal from the dense eigendecomposition."""
+        eigvals, back, fwd = gen._spectral
+        scaled = back * np.exp(eigvals * t)
+        return scaled[gen.net.index(gen.net.root)] @ fwd, np.einsum("xk,kx->x", scaled, fwd)
+
+    @staticmethod
+    def green_oracle(gen, t):
+        """Root row, diagonal and ascending eigenvalues theta of the Green's
+        operator, from its full dense eigendecomposition."""
+        kernel, theta = green_operator_kernel(gen, t)
+        return kernel[gen.net.index(gen.net.root)], np.diag(kernel), theta
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_agrees_with_expm_dense_and_green_oracle(self, level5, alpha, draw):
+        env = self.env(level5, alpha, draw)
+        gen, root = env.generator, level5.root
+        unit, c = env.scale.a * env.scale.c, env.scale.c
+        mu = level5.total_conductance_vector
+        decay = np.exp(-mu * c / gen.nu_values)
+        q_norm = float(np.max(mu / gen.nu_values))
+        t_min, eigvals = gen._slow_modes[:2]
+        theta = self.green_oracle(gen, unit)[2]
+        # Lanczos found the top modes of M, none skipped.
+        assert np.allclose(-1.0 / eigvals[:-1], theta[-len(eigvals) + 1:], rtol=1e-10, atol=0)
+        for k in (1, 2):
+            t = k * unit
+            assert t_min <= t
+            row, diag = gen.kernel_row(root, t), gen.kernel_diagonal(t)
+            phi = aging_phi(gen, root, k, 2 * k, time_unit=unit)
+            psi = subaging_psi(gen, root, 1.0, k, time_unit=unit, holding_unit=c)
+            exact = scipy.linalg.expm(gen.matrix * t)
+            tol = 1e-12 + 100 * np.finfo(float).eps * q_norm * t
+            # The dense path rounds each eigenvalue by about eps |Q|, which at
+            # alpha 0.3 alone moves its kernels by up to 8e-8 (the Green's
+            # operator oracle below pins the truncated values to 1e-10).
+            dense_tol = 1e-8 if alpha == 0.5 else tol
+            references = (
+                (tol, exact[0], np.diag(exact)),
+                (dense_tol, *self.dense(gen, t)),
+                (1e-10, *self.green_oracle(gen, t)[:2]),
+            )
+            for bound, ref_row, ref_diag in references:
+                for value, reference in ((row, ref_row), (diag, ref_diag),
+                                         (phi, ref_row @ ref_diag), (psi, ref_row @ decay)):
+                    assert np.max(np.abs(value - reference)) <= bound
+
+    @staticmethod
+    def symmetric_nu(level5, kind):
+        """Traps invariant under the gasket's three-corner symmetry: uniform, or
+        one Pareto(0.5) draw per orbit of the symmetry.  Its two-dimensional
+        representation makes eigenvalues repeat."""
+        gasket = sierpinski(5)
+        size = 2 ** gasket.level
+
+        def orbit(v):
+            a, b = gasket.lattice[v]
+            return tuple(sorted((a, b, size - a - b)))
+
+        orbits = sorted({orbit(v) for v in level5.vertex_ids})
+        if kind == "uniform":
+            draw = dict.fromkeys(orbits, 1.0)
+        else:
+            uniforms = RngStream(73).generator().random(len(orbits))
+            draw = dict(zip(orbits, map(float, (1.0 - uniforms) ** -2.0)))
+        return DiscreteMeasure(None, {v: draw[orbit(v)] for v in level5.vertex_ids})
+
+    @staticmethod
+    def omitted_max(found, theta):
+        """Largest eigenvalue of the oracle spectrum theta left after taking
+        out, for each Lanczos eigenvalue, the nearest oracle eigenvalue."""
+        rest = list(theta)
+        for value in found:
+            rest.pop(int(np.argmin(np.abs(np.array(rest) - value))))
+        return max(rest)
+
+    @pytest.mark.parametrize("kind", ["uniform", "orbit draws"])
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_certificate_covers_repeated_and_missed_modes(self, level5, monkeypatch, kind, drop):
+        """With symmetric traps the slow eigenvalues repeat, and a single
+        Lanczos start vector need not see every copy; ``drop`` removes the top
+        Lanczos mode to act out such a miss.  The certified time must still
+        exceed cut * theta for every eigenvalue theta of M left out, and the
+        kernels must match expm at the times where the left-out modes would
+        matter (theta_16 * cut, the certificate ignoring them) and beyond."""
+        lanczos = dynamics._lanczos
+
+        def missing_top(apply, v0):
+            theta, vecs = lanczos(apply, v0)
+            return theta[:len(theta) - drop], vecs[:, :len(theta) - drop]
+
+        monkeypatch.setattr(dynamics, "_lanczos", missing_top)
+        gen = generator(level5, self.symmetric_nu(level5, kind))
+        nu, root = gen.nu_values, level5.root
+        t_min, eigvals = gen._slow_modes[:2]
+        found = -1.0 / eigvals[:-1]
+        theta = self.green_oracle(gen, 1.0)[2]
+        cut = dynamics._TRUNCATION_EXP + 0.5 * math.log(nu.sum() / nu.min())
+        # The oracle has the top eigenvalue twice: the symmetry repeats it.
+        assert theta[-2] == pytest.approx(theta[-1], rel=1e-9)
+        assert t_min >= cut * self.omitted_max(found, theta)
+        q_norm = float(np.max(level5.total_conductance_vector / nu))
+        for t in (cut * found[0], 2 * cut * found[0], t_min, 2 * t_min):
+            exact = scipy.linalg.expm(gen.matrix * t)
+            tol = 1e-12 + 100 * np.finfo(float).eps * q_norm * t
+            assert np.max(np.abs(gen.kernel_row(root, t) - exact[0])) <= tol
+            assert np.max(np.abs(gen.kernel_diagonal(t) - np.diag(exact))) <= tol
+
+    def test_one_trap_holding_nearly_all_of_nu(self, level5):
+        """Deepening one trap by 1e12 leaves the slow modes nearly where they
+        were, while D^(1/2) G D^(1/2), grounded at the root, would exceed M by
+        about that factor and |M|_F^2 would drown in its rounding.  Grounded at
+        the heaviest trap, the certified time stays put and the kernels keep
+        their digits."""
+        env = self.env(level5, 0.5, 0)
+        atoms = dict(env.nu.atoms)
+        atoms[sierpinski(5).corners[1]] *= 1e12
+        gen = generator(level5, DiscreteMeasure(None, atoms))
+        t_min = gen._slow_modes[0]
+        assert t_min <= 2 * env.generator._slow_modes[0]
+        for t in (t_min, 2 * t_min):
+            reference = green_operator_kernel(gen, t)[0]
+            kernel = gen.kernel_matrix(t)
+            assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-10
+            assert np.max(np.abs(kernel - reference)) <= 1e-10
+            assert np.max(np.abs(gen.kernel_diagonal(t) - np.diag(reference))) <= 1e-10
+
+    @pytest.mark.parametrize("failure", [None, "no convergence", "factorization"])
+    def test_uncertified_calls_take_the_dense_path(self, level5, monkeypatch, failure):
+        env = self.env(level5, 0.5, 0)
+        gen, unit = env.generator, env.scale.a * env.scale.c
+        t = 0.01 * unit if failure is None else unit
+        if failure == "no convergence":
+            monkeypatch.setattr(dynamics, "_LANCZOS_STEPS", 20)
+        elif failure == "factorization":
+            def fail(net):
+                raise NumericalFailure("grounded Laplacian is not positive definite")
+            monkeypatch.setattr(ElectricalNetwork, "green_matrix", property(fail))
+        row = gen.kernel_row(level5.root, t)
+        if failure is None:
+            assert t < gen._slow_modes[0]
+        else:
+            assert gen._slow_modes is None
+        d_row, d_diag = self.dense(gen, t)
+        assert np.array_equal(row, d_row)
+        assert np.array_equal(gen.kernel_diagonal(t), d_diag)
+
+    @pytest.mark.parametrize("share", [1.0, 0.01])
+    def test_values_do_not_depend_on_earlier_calls(self, level5, share):
+        env = self.env(level5, 0.5, 1)
+        t = share * env.scale.a * env.scale.c
+        late = generator(level5, env.nu)
+        late.kernel_row(level5.root, 2 * t)
+        fresh = generator(level5, env.nu)
+        assert np.array_equal(late.kernel_row(level5.root, t), fresh.kernel_row(level5.root, t))
+        assert np.array_equal(late.kernel_diagonal(t), fresh.kernel_diagonal(t))
+
+    def test_fresh_generators_are_bit_identical(self, level5):
+        env = self.env(level5, 0.5, 0)
+        t = env.scale.a * env.scale.c
+        one, two = generator(level5, env.nu), generator(level5, env.nu)
+        assert np.array_equal(one.kernel_row(level5.root, t), two.kernel_row(level5.root, t))
+        assert np.array_equal(one.kernel_diagonal(t), two.kernel_diagonal(t))
+        assert np.array_equal(one.kernel_matrix(t), two.kernel_matrix(t))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestAgingExperiments:
     def test_workers_do_not_change_results(self):
         a = run_two_point_experiment(gasket_config(replicas=8)).to_csv()
         b = run_two_point_experiment(gasket_config(replicas=8, workers=3)).to_csv()
+        assert a == b
+        # Level 5 takes the truncated path: the threads share the network, its
+        # grounded factor and concurrent Lanczos iterations.
+        a = run_two_point_experiment(gasket_config(levels=[5], replicas=6)).to_csv()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_two_point_experiment(gasket_config(levels=[5], replicas=6, workers=3)).to_csv()
+        finally:
+            sys.setswitchinterval(interval)
         assert a == b
 
     def test_stabilization_rows_present(self):

@@ -201,6 +201,14 @@ class TestMetricEntropy:
         res = metric_entropy(space, 1.0)
         assert res.count == 2 and res.exact
 
+    def test_delta_at_a_rounded_distance_covers(self):
+        # 0.1 + 0.2 rounds above 0.3; the snapped closed ball still reaches it.
+        from trapnets.networks import FiniteMetricSpace
+
+        d = 0.1 + 0.2
+        space = FiniteMetricSpace((0, 1), np.array([[0.0, d], [d, 0.0]]), 0)
+        assert metric_entropy(space, 0.3).count == 1
+
     def test_path_matches_exhaustive_oracle(self, unit_path3):
         space = unit_path3.resistance_space
         for delta in (0.4, 1.0, 2.0):
