@@ -81,10 +81,6 @@ class InvalidWindow(TrapnetsError):
     pass
 
 
-class NoCommonEmbedding(TrapnetsError):
-    pass
-
-
 class PreconditionViolated(TrapnetsError):
     pass
 

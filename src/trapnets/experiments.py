@@ -5,6 +5,13 @@ sequence with its scaling constants, the evaluation grids and replica
 counts.  Runners emit flat result tables with one row per statistic; all
 randomness flows through (seed, stream) pairs so reruns are bit-identical
 regardless of worker scheduling.
+
+Ensembles are decided in one place.  ``_SCALES`` gives each kind's space
+and mass normalizations; the nested kinds in ``COUPLED`` get their level
+graphs, with one coupling table for the trap uniforms, from
+``_build_coupled_levels``; every other network comes from
+``_level_network``.  The two-point runner maps its replicas over one
+thread pool of ``workers`` threads and collects them in replica order.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
+
 import numpy as np
 from scipy import stats
 
@@ -33,21 +42,23 @@ from .rng import RngStream
 from .traps import ScaleTriple, TrapEnvironment, TrapLaw, scaling_constant, truncated_prm
 from .serialize import format_value
 
-KINDS = ("sierpinski", "conductance_path", "cayley_tree", "er_component")
+# Space and mass normalizations (a, b) of each ensemble at size parameter n.
+_SCALES = {
+    "sierpinski": lambda n: ((5.0 / 3.0) ** n, 3.0 ** n),
+    "conductance_path": lambda n: (2.0 ** n, 2.0 ** n),
+    "cayley_tree": lambda n: (float(n) ** 0.5, float(n)),
+    "er_component": lambda n: (float(n) ** (1.0 / 3.0), float(n) ** (2.0 / 3.0)),
+}
+KINDS = tuple(_SCALES)
+# Ensembles whose levels nest, so replicas share trap uniforms across levels.
+COUPLED = ("sierpinski", "conductance_path")
 
 
 def default_scales(kind: str, level: int, law: TrapLaw) -> ScaleTriple:
     """Per-ensemble space and mass normalizations with the derived trap scale."""
-    if kind == "sierpinski":
-        a, b = (5.0 / 3.0) ** level, 3.0 ** level
-    elif kind == "conductance_path":
-        a, b = 2.0 ** level, 2.0 ** level
-    elif kind == "cayley_tree":
-        a, b = float(level) ** 0.5, float(level)
-    elif kind == "er_component":
-        a, b = float(level) ** (1.0 / 3.0), float(level) ** (2.0 / 3.0)
-    else:
+    if kind not in _SCALES:
         raise ConfigError(f"unknown ensemble kind {kind!r}")
+    a, b = _SCALES[kind](level)
     return ScaleTriple(a, b, scaling_constant(law, max(b, 1.0)))
 
 
@@ -90,18 +101,26 @@ class ExperimentConfig:
         sampler = raw.get("sampler", "mc")
         if sampler not in ("mc", "sobol"):
             raise ConfigError("sampler must be 'mc' or 'sobol'")
-        if sampler == "sobol" and kind not in ("sierpinski", "conductance_path"):
+        if sampler == "sobol" and kind not in COUPLED:
             raise ConfigError("the sobol sampler needs a deterministic ensemble")
+        s_grid = tuple(raw.get("s_grid", (1.0,)))
+        t_grid = tuple(raw.get("t_grid", (2.0,)))
+        if not all(t > 0 for t in t_grid):
+            raise ConfigError("t_grid times must be positive")
+        if not all(s >= 0 for s in s_grid):
+            raise ConfigError("s_grid times must be nonnegative")
+        workers = int(raw.get("workers", 1))
+        if workers < 1:
+            raise ConfigError("worker count must be >= 1")
         return ExperimentConfig(
             kind=kind, levels=levels, alpha=alpha, seed=seed, replicas=replicas,
-            s_grid=tuple(raw.get("s_grid", (1.0,))),
-            t_grid=tuple(raw.get("t_grid", (2.0,))),
+            s_grid=s_grid, t_grid=t_grid,
             u_min=float(raw.get("u_min", 1.0)),
             lam=float(raw.get("lambda", 0.0)),
             path_bounds=tuple(raw.get("path_bounds", (0.5, 2.0))),
             boxes=tuple(tuple(b) for b in raw.get("boxes", ())),
             prm_floor=float(raw.get("prm_floor", 0.25)),
-            workers=int(raw.get("workers", 1)),
+            workers=workers,
             bootstrap=int(raw.get("bootstrap", 400)),
             sampler=sampler,
         )
@@ -168,65 +187,64 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class _LevelGraph:
-    level: int
-    network: object
+    network: Callable             # shared conductances -> the level's network
     root: object
-    coords: dict | None
-    coupling: np.ndarray | None   # index of each vertex in the top coupling table
+    coords: dict                  # vertex -> scaled position, in vertex order
+    coupling: np.ndarray          # index of each vertex in the coupling table
 
 
-def _build_deterministic_levels(config: ExperimentConfig):
-    """Gasket and path graphs are deterministic apart from conductances and nest
-    across levels, so per-replica trap uniforms can be shared by coordinate."""
+def _build_coupled_levels(config: ExperimentConfig):
+    """Level graphs of a nested ensemble, with one shared coupling table.
+
+    Gasket and path levels nest: every vertex sits at a position of the top
+    level, and each position gets one key (numbered in level order, then
+    vertex order), so a replica's trap uniforms are shared across levels.
+    Gasket networks are fixed; path networks cut their window out of one
+    draw of conductances per integer edge of the top window.  Returns the
+    level graphs, the number of keys and the function drawing the shared
+    conductances from a stream (None for the gasket).
+    """
     law = UniformConductanceLaw(*config.path_bounds)
     top = max(config.levels)
+    keys: dict = {}
+    out = []
+    for n in config.levels:
+        scale = 2 ** (top - n)
+        if config.kind == "sierpinski":
+            g = sierpinski(n)
+            vertices = g.network.vertex_ids
+            positions = [(g.lattice[v][0] * scale, g.lattice[v][1] * scale) for v in vertices]
+            coords = {v: g.coords[v] for v in vertices}
+            root = g.network.root
+
+            def network(zeta, net=g.network):
+                return net
+        else:
+            window = 2 ** n
+            offset = 2 ** top - window
+            vertices = range(-window, window + 1)
+            positions = [i * scale for i in vertices]
+            coords = {i: (i / 2.0 ** n,) for i in vertices}
+            root = 0
+
+            def network(zeta, w=window, o=offset):
+                return conductance_path(w, law, None, values=zeta[o:o + 2 * w]).network
+        coupling = np.array([keys.setdefault(p, len(keys)) for p in positions])
+        out.append(_LevelGraph(network, root, coords, coupling))
     if config.kind == "sierpinski":
-        graphs = {n: sierpinski(n) for n in config.levels}
-        top_keys = {}
-        for n in config.levels:
-            g = graphs[n]
-            scale = 2 ** (top - n)
-            for v in g.network.vertex_ids:
-                a, b = g.lattice[v]
-                top_keys.setdefault((a * scale, b * scale), len(top_keys))
-        out = []
-        for n in config.levels:
-            g = graphs[n]
-            scale = 2 ** (top - n)
-            coupling = np.array([top_keys[(g.lattice[v][0] * scale, g.lattice[v][1] * scale)]
-                                 for v in g.network.vertex_ids])
-            out.append(_LevelGraph(n, g.network, g.network.root, g.coords, coupling))
-        return out, len(top_keys), None
+        return out, len(keys), lambda stream: None
+    return out, len(keys), lambda stream: law.sample(stream.generator(), 2 * 2 ** top)
+
+
+def _level_network(config: ExperimentConfig, n: int, stream: RngStream):
+    """One network of the ensemble at size parameter n, drawn from stream."""
+    if config.kind == "sierpinski":
+        return sierpinski(n).network
     if config.kind == "conductance_path":
-        # One conductance per integer edge index, shared across levels.
-        top_window = 2 ** top
-        def build(n, zeta):
-            window = 2 ** n
-            offset = top_window - window
-            vals = zeta[offset:offset + 2 * window]
-            return conductance_path(window, law, None, values=vals)
-        top_keys = {}
-        out = []
-        for n in config.levels:
-            window = 2 ** n
-            scale = 2 ** (top - n)
-            keys = []
-            for i in range(-window, window + 1):
-                top_keys.setdefault(i * scale, len(top_keys))
-                keys.append(top_keys[i * scale])
-            out.append(_LevelGraph(n, None, 0, None, np.array(keys)))
-        return out, len(top_keys), build
-    raise ConfigError("coupled construction only for deterministic ensembles")
-
-
-def _random_graph(config: ExperimentConfig, level: int, stream: RngStream):
+        return conductance_path(2 ** n, UniformConductanceLaw(*config.path_bounds), stream).network
     if config.kind == "cayley_tree":
-        net = as_plane_tree(uniform_cayley_tree(level, stream), level).network()
-        return net, net.root
-    if config.kind == "er_component":
-        net = er_largest_component(level, config.lam, stream)
-        return net, net.root
-    raise ConfigError(f"not a per-replica random ensemble: {config.kind}")
+        return as_plane_tree(uniform_cayley_tree(n, stream), n).network()
+    return er_largest_component(n, config.lam, stream)
 
 
 def _sobol_uniforms(config: ExperimentConfig, n_keys: int) -> np.ndarray:
@@ -255,35 +273,29 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     law = config.law()
     table = ResultTable()
     scales = {n: default_scales(config.kind, n, law) for n in config.levels}
-    deterministic = config.kind in ("sierpinski", "conductance_path")
-    sobol_rows = None
-    if deterministic:
-        level_graphs, n_keys, path_builder = _build_deterministic_levels(config)
-        if config.sampler == "sobol":
-            sobol_rows = _sobol_uniforms(config, n_keys)
+    coupled = config.kind in COUPLED
+    if coupled:
+        level_graphs, n_keys, conductances = _build_coupled_levels(config)
+        sobol_rows = _sobol_uniforms(config, n_keys) if config.sampler == "sobol" else None
 
     def run_replica(rep: int):
         out = []
         base = RngStream(config.seed).child(rep)
-        if deterministic:
+        if coupled:
             if sobol_rows is not None:
                 uniforms = 1.0 - sobol_rows[rep]
             else:
                 uniforms = 1.0 - base.child(0).generator().random(n_keys)
-            zeta = None
-            if config.kind == "conductance_path":
-                zeta_rng = base.child(1).generator()
-                top_window = 2 ** max(config.levels)
-                zeta = UniformConductanceLaw(*config.path_bounds).sample(zeta_rng, 2 * top_window)
+            zeta = conductances(base.child(1))
         for slot, n in enumerate(config.levels):
             try:
-                if deterministic:
+                if coupled:
                     lg = level_graphs[slot]
-                    net = lg.network if lg.network is not None else path_builder(n, zeta).network
-                    root = lg.root
+                    net, root = lg.network(zeta), lg.root
                     traps = law.quantile(uniforms[lg.coupling])
                 else:
-                    net, root = _random_graph(config, n, base.child(2, slot))
+                    net = _level_network(config, n, base.child(2, slot))
+                    root = net.root
                     traps = law.quantile(1.0 - base.child(3, slot).generator().random(net.n_vertices))
                 nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
                 env = TrapEnvironment(net, nu, scales[n])
@@ -302,19 +314,17 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
                 out.append((n, rep, math.nan, math.nan, None, None))
         return out
 
-    results = {}
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for rep, res in zip(range(config.replicas),
-                                pool.map(run_replica, range(config.replicas))):
-                results[rep] = res
-    else:
-        for rep in range(config.replicas):
-            results[rep] = run_replica(rep)
+    # Results are read in replica order, so the table does not depend on
+    # scheduling.  They are read after the pool has finished: waiting on each
+    # future in turn would wake this thread, and take the interpreter lock
+    # from the workers, once per replica.
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        futures = [pool.submit(run_replica, rep) for rep in range(config.replicas)]
+    results = [f.result() for f in futures]
 
     values: dict = {}
-    for rep in sorted(results):
-        for n, r, s, t, stat, v in results[rep]:
+    for out in results:
+        for n, r, s, t, stat, v in out:
             if stat is None:
                 table.failures += 1
                 continue
@@ -405,13 +415,7 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     table = ResultTable()
     for n in config.levels:
         scale = default_scales(config.kind, n, law)
-        if config.kind == "sierpinski":
-            net = sierpinski(n).network
-        elif config.kind == "conductance_path":
-            stream = RngStream(config.seed).child(7, n)
-            net = conductance_path(2 ** n, UniformConductanceLaw(*config.path_bounds), stream).network
-        else:
-            net, _ = _random_graph(config, n, RngStream(config.seed).child(7, n))
+        net = _level_network(config, n, RngStream(config.seed).child(7, n))
         space = net.resistance_space
         boxes = config.boxes or _default_boxes(space, scale.a)
         root_row = space.dist[space.index(space.root)] / scale.a
@@ -494,50 +498,31 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
     line); other ensembles are skipped with a report row.
     """
     table = ResultTable()
-    if config.kind not in ("sierpinski", "conductance_path"):
+    if config.kind not in COUPLED:
         table.add(0, -1, 0.0, 0.0, "skipped_no_common_embedding", 1.0)
         return table
     law = config.law()
-    level_graphs, n_keys, path_builder = _build_deterministic_levels(config)
-    if config.kind == "conductance_path":
-        zeta_rng = RngStream(config.seed).child(11).generator()
-        top_window = 2 ** max(config.levels)
-        zeta = UniformConductanceLaw(*config.path_bounds).sample(zeta_rng, 2 * top_window)
+    level_graphs, n_keys, _ = _build_coupled_levels(config)
+    scales = [default_scales(config.kind, n, law) for n in config.levels]
 
     # Common carrier: union of scaled coordinates over all levels.
-    def scaled_coords(slot):
-        lg = level_graphs[slot]
-        n = lg.level
-        if config.kind == "sierpinski":
-            return {v: lg.coords[v] for v in lg.network.vertex_ids}
-        net = path_builder(n, zeta).network
-        return {v: (v / 2.0 ** n,) for v in net.vertex_ids}
-
-    coords_by_slot = [scaled_coords(s) for s in range(len(config.levels))]
-    all_pts = sorted({c for d in coords_by_slot for c in d.values()})
+    all_pts = sorted({c for lg in level_graphs for c in lg.coords.values()})
     pt_index = {c: i for i, c in enumerate(all_pts)}
     arr = np.array(all_pts, dtype=float)
     dist = np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2))
-    root_coord = coords_by_slot[0][level_graphs[0].root if config.kind == "sierpinski" else 0]
-    carrier = FiniteMetricSpace(tuple(range(len(all_pts))), dist, pt_index[root_coord])
+    first = level_graphs[0]
+    carrier = FiniteMetricSpace(tuple(range(len(all_pts))), dist, pt_index[first.coords[first.root]])
+    points = [[pt_index[c] for c in lg.coords.values()] for lg in level_graphs]
 
     for slot in range(len(config.levels) - 1):
-        n, m = config.levels[slot], config.levels[slot + 1]
-        set_a = [pt_index[c] for c in coords_by_slot[slot].values()]
-        set_b = [pt_index[c] for c in coords_by_slot[slot + 1].values()]
+        m = config.levels[slot + 1]
         table.add(m, -1, 0.0, 0.0, "vertex_local_hausdorff",
-                  local_hausdorff(set_a, set_b, carrier))
+                  local_hausdorff(points[slot], points[slot + 1], carrier))
         for rep in range(config.replicas):
             uniforms = 1.0 - RngStream(config.seed).child(rep, 0).generator().random(n_keys)
             measures = []
-            for s, lvl in ((slot, n), (slot + 1, m)):
-                lg = level_graphs[s]
-                scale = default_scales(config.kind, lvl, law)
-                net = lg.network if lg.network is not None else path_builder(lvl, zeta).network
-                traps = law.quantile(uniforms[lg.coupling]) / scale.c
-                atoms = {pt_index[coords_by_slot[s][v]]: float(w)
-                         for v, w in zip(net.vertex_ids, traps)}
-                measures.append(DiscreteMeasure(carrier, atoms))
-            table.add(m, rep, 0.0, 0.0, "trap_dmdis",
-                      dis_measure_distance(measures[0], measures[1]))
+            for s in (slot, slot + 1):
+                traps = law.quantile(uniforms[level_graphs[s].coupling]) / scales[s].c
+                measures.append(DiscreteMeasure(carrier, dict(zip(points[s], map(float, traps)))))
+            table.add(m, rep, 0.0, 0.0, "trap_dmdis", dis_measure_distance(*measures))
     return table

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CarrierMismatch, NotACorrespondence, TrapnetsError
-from .networks import FiniteMetricSpace, ball_tolerance
+from .networks import FiniteMetricSpace, ball_mask
 
 _FLOW_TOL = 1e-12
 
@@ -74,11 +74,6 @@ class DiscreteMeasure:
     def total(self) -> float:
         return float(sum(self.atoms.values()))
 
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        if not factor > 0:
-            raise TrapnetsError("scaling factor must be positive")
-        return DiscreteMeasure(self.carrier, {p: w * factor for p, w in self.atoms.items()})
-
     def restrict(self, r: float) -> "DiscreteMeasure":
         """Keep atoms in the closed root ball of radius r (open-ball rule).
 
@@ -87,9 +82,8 @@ class DiscreteMeasure:
         """
         if not r > 0:
             raise TrapnetsError("radius must be positive")
-        tol = ball_tolerance(r)
         keep = {p: w for p, w in self.atoms.items()
-                if self.carrier.root_distance(p) < r - tol}
+                if ball_mask(self.carrier.root_distance(p), r)}
         return DiscreteMeasure(self.carrier, keep)
 
 
@@ -130,8 +124,7 @@ class PointMeasure:
     def restrict(self, r: float) -> "PointMeasure":
         if self.carrier is None:
             raise CarrierMismatch("point measure has no carrier to restrict over")
-        tol = ball_tolerance(r)
-        keep = tuple(a for a in self.atoms if self.carrier.root_distance(a[0]) < r - tol)
+        keep = tuple(a for a in self.atoms if ball_mask(self.carrier.root_distance(a[0]), r))
         return PointMeasure(self.carrier, keep, self.marked)
 
 

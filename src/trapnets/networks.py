@@ -45,8 +45,9 @@ def ball_tolerance(r: float) -> float:
     return _BALL_SNAP * max(1.0, abs(r))
 
 
-def ball_mask(row: np.ndarray, radius: float, closed: bool = False) -> np.ndarray:
-    """Membership of each distance in ``row`` in the ball of ``radius``.
+def ball_mask(row, radius: float, closed: bool = False):
+    """Membership of each distance in ``row`` (an array or one distance) in
+    the ball of ``radius``.
 
     The open ball keeps distances below ``radius`` by more than
     :func:`ball_tolerance`; the closed ball keeps those at most that width
@@ -140,9 +141,6 @@ class ElectricalNetwork:
             return self._index[v]
         except KeyError:
             raise UnknownVertex(f"unknown vertex {v!r}") from None
-
-    def has_vertex(self, v) -> bool:
-        return v in self._index
 
     def conductance(self, u, v) -> float:
         self.index(u), self.index(v)

@@ -200,6 +200,17 @@ class TestExperimentCommand:
         expected = run_two_point_experiment(ExperimentConfig.from_dict(cfg)).to_csv()
         assert (tmp_path / "table.csv").read_text() == expected
 
+    @pytest.mark.parametrize("field, value", [("t_grid", [-1.0]), ("workers", 0)])
+    def test_invalid_config_exits_1(self, capsys, tmp_path, field, value):
+        cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
+               "alpha": 0.5, "seed": 2, "replicas": 3, field: value,
+               "out": str(tmp_path / "table.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert not (tmp_path / "table.csv").exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "nope", "ensemble": "sierpinski",
