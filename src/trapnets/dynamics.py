@@ -3,11 +3,12 @@
 The chain jumps from x to y at rate mu(x, y) / nu({x}); its speed measure is
 the trap measure nu, so conductance symmetry gives detailed balance and the
 nu^(1/2)-conjugated generator is symmetric.  Transition kernels are sums over
-eigenmodes of that symmetric matrix, from one of two paths (see
-:class:`Generator`): a dense eigendecomposition, or on networks of at least
-``_TRUNCATE_FROM`` vertices the few slow modes that a certified truncation
-keeps at the time asked.  Path samples come from the exact (Gillespie) jump
-chain.
+eigenmodes, taken from one of two operators chosen per call (see
+:class:`Generator`): the symmetrized generator at short times, and the
+Green's operator at long times, where only the slow modes survive.  A call
+that neither operator serves within its error bound raises
+:class:`NumericalFailure`.  Path samples come from the exact (Gillespie)
+jump chain.
 
 Aging and sub-aging two-point functions accept explicit time and holding
 units so that the rescaled quantities (walk observed at times a*c*t, holding
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,61 +38,123 @@ from .rng import as_generator
 _ROW_SUM_TOL = 1e-10
 _DENSITY_SYM_TOL = 1e-10
 
-# Networks with at least this many vertices try the truncated spectral path.
-# Measured crossover (one BLAS thread, critical ER components, the slow modes
-# including the network's own grounded inverse against dense eigh): 7.6
-# against 4.9 ms at 128-191 vertices, 10.1 against 8.8 ms at 192-255, 12.3
-# against 12.1 ms at 256-319, 20.9 against 23.1 ms at 320-383; with the
-# inverse shared, as on a gasket level, 3.7-5.1 ms.  Gasket level 5 (366
-# vertices, shared inverse): 7.1 against 27.2 ms.
-_TRUNCATE_FROM = 256
+# Networks with at least this many vertices take the slow modes of the
+# Green's operator by Lanczos iteration; smaller ones eigendecompose it in
+# full.  Both need the grounded inverse first.  Measured medians given the
+# inverse (one BLAS thread, critical ER components at alpha 0.5, full eigh
+# of M against Lanczos): 1.7 against 3.3 ms at 64-127 vertices, 4.3 against
+# 3.4 ms at 128-191, 7.2 against 4.1 ms at 192-255, 13.7 against 4.0 ms at
+# 256-319; Lanczos certified t = a*c on every one of the 70 networks of
+# 128-511 vertices.
+_TRUNCATE_FROM = 128
 # Slow modes asked of the one Lanczos run, besides the stationary mode.  At
 # t = a*c the certificate held with 16 modes for every one of 60 trap draws
 # at each of alpha 0.3, 0.5 and 0.8 on gasket level 5 (which needed at most
 # 10 modes below the cut), and for 43 of 44 critical ER components of 256 or
 # more vertices at alpha 0.5.
 _SLOW_MODES = 16
-# Lanczos steps before the truncated path gives way to the dense one (gasket
-# level 5 converged in 28-56 steps for alpha 0.3-0.8, critical ER components
-# in 32-48), and the Ritz residual it must reach, relative to the largest
-# Ritz value.
+# Lanczos steps before the dense eigendecomposition of the Green's operator
+# takes over (gasket level 5 converged in 28-56 steps for alpha 0.3-0.8,
+# critical ER components in 32-48), and the Ritz residual it must reach,
+# relative to the largest Ritz value.
 _LANCZOS_STEPS = 96
 _LANCZOS_TOL = 1e-14
 # Omitted modes leave at most exp(-_TRUNCATION_EXP) of L1 mass in any row.
 _TRUNCATION_EXP = 36.0
 
 
+class _Green(NamedTuple):
+    """What both eigensolvers of the Green's operator share.
+
+    M = P N P with N = D^(1/2) G D^(1/2), G the inverse of the Laplacian
+    grounded at the heaviest trap, and P the projection off u.
+    """
+
+    green: np.ndarray       # G
+    u: np.ndarray           # sqrt(nu) / |sqrt(nu)|
+    n_u: np.ndarray         # N u
+    frobenius: float        # |M|_F^2
+    trace: float            # trace M
+    n_frobenius: float      # |N|_F^2, which scales the rounding of |M|_F^2
+    n_trace: float          # trace N, which scales the rounding of trace M
+
+    @property
+    def norm(self) -> float:
+        """|M|_F."""
+        return math.sqrt(max(self.frobenius, 0.0))
+
+
+class _GreenModes(NamedTuple):
+    """Modes of the Green's operator: kernels (back * exp(eigvals t)) @ fwd,
+    certified at every time t >= t_min."""
+
+    t_min: float
+    eigvals: np.ndarray
+    back: np.ndarray
+    fwd: np.ndarray
+
+
 class Generator:
     """Rate matrix q(x, y) = mu(x, y) / nu({x}) with its spectral data.
 
-    Kernels at time t are sum_k exp(-lambda_k t) over eigenmodes of the
-    symmetrized generator, taken from one of two paths:
+    Kernels at time t are sums of exp(-lambda_k t) over the eigenmodes of the
+    symmetrized generator S = D^(1/2) Q D^(-1/2) (D = diag(nu)), taken from
+    one of two operators:
 
-    - Truncated, on networks of at least ``_TRUNCATE_FROM`` vertices: the
-      stationary mode plus the ``_SLOW_MODES`` largest eigenvalues
-      theta = 1/lambda of the Green's operator M = P D^(1/2) G D^(1/2) P
-      (D = diag(nu), G the network's grounded inverse of the Laplacian,
-      moved to ground at the heaviest trap, P the projection off sqrt(nu)),
-      from Lanczos iteration with one product by G per step.  Every
-      eigenvalue of M they leave out is at most
-      rest = (|M|_F^2 - sum theta^2)^(1/2), since the squares of all
-      eigenvalues sum to |M|_F^2.  That holds whatever the iteration
-      missed, such as copies of a repeated eigenvalue (symmetric traps on a
-      symmetric network) that one start vector cannot reach.  The modes
-      serve every time t >= rest * cut, cut = 36 + ln(nu(V) / min nu) / 2:
-      each omitted mode then has exp(-lambda t) sqrt(nu(V) / nu(x)) <=
-      exp(-36), which bounds the L1 error of every kernel row
-      (Cauchy-Schwarz in l2(nu)) and the error of the diagonal.  The bound
-      assumes only that the Ritz pairs converged (the residual test of
-      :func:`_lanczos`) and that rounding of |M|_F^2 stays below the
-      n eps |D^(1/2) G D^(1/2)|_F^2 allowed for it.
-    - Dense, everywhere else: one eigendecomposition of the symmetrized
-      generator.  It serves smaller networks, times below the certified
-      one, and networks where the iteration does not converge or the
-      grounded factorization fails.
+    - The generator: one dense eigendecomposition of S.  Rounding moves each
+      eigenvalue by about eps |S|, so the first-order model of a kernel at
+      time t is eps |S| t, with |S| bounded by Gershgorin's row sums.  Only
+      this operator is right at short times.
+    - The Green's operator M = P D^(1/2) G D^(1/2) P (G the inverse of the
+      Laplacian grounded at the heaviest trap, P the projection off
+      sqrt(nu)), whose eigenvalues are theta = 1/lambda.  Its first-order
+      model is eps |M| 4e^(-2) / t, 4e^(-2) / t being the Lipschitz constant
+      of theta -> exp(-t / theta).  That model does not refuse calls: the
+      slow modes of M keep their relative accuracy (Demmel and Veselic, SIAM
+      J. Matrix Anal. Appl. 1992).  On gasket level 3 with alpha 0.05 and
+      traps spanning 4e49, phi and psi at t = a*c match a 60-digit oracle
+      within 2e-16, where the model allows 4e-5.
 
-    The iteration runs at most once per generator, from a fixed start
-    vector, so values do not depend on the order of calls or on threads.
+    A call at time t takes the generator when t^2 <= |M|_F / |S|, where the
+    two models cross up to the constant 4e^(-2), and the Green's operator
+    otherwise.  A network whose grounded factorization fails has |M|
+    infinite and always takes the generator.
+
+    Both operators go back to P_t through D^(-1/2) and D^(1/2), which can
+    amplify rounding in the eigenvectors by up to (nu(V) / min nu)^(1/2).  For
+    the generator this is most of its error: on gasket level 2 with traps
+    spanning 1e49, its rows at t = 1 miss 1 by 7e6 where eps |S| t is 6e-16.
+    Every call therefore checks the spectral data it is given at time t: the
+    largest row-sum residual |sum_y P_t(x, y) - 1| (one product with the
+    row sums of the modes), plus eps |S| t on the generator side, must stay
+    within ``_ROW_SUM_TOL``, or the call raises :class:`NumericalFailure`.
+
+    The network size decides only how M is eigendecomposed.  Below
+    ``_TRUNCATE_FROM`` vertices, and as the fallback above it, M is
+    eigendecomposed in full.  Eigenvalues at or below the floor n eps |M|_F
+    are rounding and are dropped, so these kernels are certified at
+    t >= floor * cut, cut = 36 + ln(nu(V) / min nu) / 2, and a call below
+    that raises :class:`NumericalFailure`.  From ``_TRUNCATE_FROM`` vertices
+    on, the stationary mode plus the ``_SLOW_MODES`` largest eigenvalues of M
+    come from Lanczos iteration with one product by G per step, Ritz values
+    at or below the floor dropped.  Every eigenvalue of M they leave out is
+    at most rest = min(rest_F, rest_T), rest_F = (|M|_F^2 - sum theta^2)^(1/2)
+    and rest_T = trace M - sum theta, since M is positive semidefinite.  That
+    holds whatever the iteration missed, such as copies of a repeated
+    eigenvalue (symmetric traps on a symmetric network) that one start
+    vector cannot reach.  The modes serve every time t >= rest * cut: each
+    omitted mode then has exp(-lambda t) sqrt(nu(V) / nu(x)) <= exp(-36),
+    which bounds the L1 error of every kernel row (Cauchy-Schwarz in
+    l2(nu)) and the error of the diagonal.  The bound assumes that the Ritz
+    pairs converged (the residual test of :func:`_lanczos`) and that the
+    rounding of |M|_F^2 and trace M stays below the n eps |N|_F^2 and
+    n eps trace N allowed for it (N = D^(1/2) G D^(1/2)).  Calls the Lanczos
+    modes do not certify or whose rows fail the check, and every call after
+    a run that does not converge, take the full eigendecomposition of M.
+
+    Each eigendecomposition runs at most once per generator, the iteration
+    from a fixed start vector, so values do not depend on the order of calls
+    or on threads.
     """
 
     def __init__(self, net: ElectricalNetwork, nu: DiscreteMeasure):
@@ -139,23 +202,26 @@ class Generator:
         return eigvals, back, fwd
 
     @cached_property
-    def _slow_modes(self):
-        """(t_min, eigvals, back, fwd) of the slow modes, or None.
+    def _generator_norm(self) -> float:
+        """Gershgorin bound on |S|_2: the largest absolute row sum of S."""
+        nu, n = self.nu_values, self.net.n_vertices
+        iu, iv, w = self.net.edge_arrays
+        off = w / np.sqrt(nu[iu] * nu[iv])
+        rows = (self.net.total_conductance_vector / nu
+                + np.bincount(iu, off, n) + np.bincount(iv, off, n))
+        return float(rows.max())
 
-        The top eigenpairs theta = 1/lambda of the Green's operator
-        M = P D^(1/2) G D^(1/2) P, by Lanczos from a fixed start vector, plus
-        the stationary mode.  Every eigenvalue of M they omit, found or not,
-        is at most rest = (|M|_F^2 - sum theta^2)^(1/2), and kernels from
-        them are certified at times t >= rest * cut.  None when the iteration
-        does not converge or the grounded factorization fails.
-        """
-        nu = self.nu_values
-        sqrt_nu = np.sqrt(nu)
-        u = sqrt_nu / np.linalg.norm(sqrt_nu)
+    @cached_property
+    def _green(self) -> _Green | None:
+        """The Green's operator data, or None when the grounded factorization
+        fails."""
         try:
             root_grounded = self.net.green_matrix
         except NumericalFailure:
             return None
+        nu = self.nu_values
+        sqrt_nu = np.sqrt(nu)
+        u = sqrt_nu / np.linalg.norm(sqrt_nu)
         # M does not depend on the vertex G is grounded at, since P kills
         # D^(1/2) 1.  Grounded at the root, D^(1/2) G D^(1/2) can exceed |M|
         # by 1e15 when one trap holds nearly all of nu, and M loses every
@@ -165,35 +231,95 @@ class Generator:
         green = root_grounded - root_grounded[:, [z]]
         green -= root_grounded[z]
         green += root_grounded[z, z]
-
-        def green_operator(x):
-            y = sqrt_nu * (green @ (sqrt_nu * (x - u * (u @ x))))
-            return y - u * (u @ y)
-
-        v0 = np.random.default_rng(0).standard_normal(len(nu))
-        top = _lanczos(green_operator, v0 - u * (u @ v0))
-        if top is None or not top[0][0] > 0:
-            return None
-        theta, vecs = top
-        # |M|_F^2 = |N|_F^2 - 2 |N u|^2 + (u.N u)^2 for N = D^(1/2) G D^(1/2),
-        # with an allowance of n eps |N|_F^2 for its rounding.
         n_u = sqrt_nu * (green @ (sqrt_nu * u))
-        n_frobenius = nu @ (green * green) @ nu
-        frobenius = n_frobenius - 2.0 * (n_u @ n_u) + (u @ n_u) ** 2
-        rest = math.sqrt(max(frobenius - theta @ theta, 0.0)
-                         + len(nu) * np.finfo(float).eps * n_frobenius)
+        u_n_u = float(u @ n_u)
+        n_frobenius = float(nu @ (green * green) @ nu)
+        n_trace = float(nu @ np.diag(green))
+        # |M|_F^2 = |N|_F^2 - 2 |N u|^2 + (u.N u)^2 and trace M = trace N - u.N u.
+        return _Green(green, u, n_u, n_frobenius - 2.0 * (n_u @ n_u) + u_n_u ** 2,
+                      n_trace - u_n_u, n_frobenius, n_trace)
+
+    def _green_record(self, rest: float, theta: np.ndarray, vecs: np.ndarray) -> _GreenModes:
+        """Modes theta = 1/lambda of M plus the stationary one, certified from
+        rest * cut on when rest bounds every eigenvalue of M left out."""
+        nu = self.nu_values
+        sqrt_nu = np.sqrt(nu)
         cut = _TRUNCATION_EXP + 0.5 * math.log(nu.sum() / nu.min())
         eigvals = np.append(-1.0 / theta, 0.0)
-        vecs = np.column_stack((vecs, u))
-        return rest * cut, eigvals, vecs / sqrt_nu[:, None], (vecs * sqrt_nu[:, None]).T
+        vecs = np.column_stack((vecs, self._green.u))
+        return _GreenModes(rest * cut, eigvals, vecs / sqrt_nu[:, None],
+                           (vecs * sqrt_nu[:, None]).T)
+
+    def _floor(self) -> float:
+        """Eigenvalues of M at or below n eps |M|_F are rounding."""
+        return self.net.n_vertices * np.finfo(float).eps * self._green.norm
+
+    @cached_property
+    def _green_modes(self) -> _GreenModes:
+        """Full dense eigendecomposition of the Green's operator."""
+        g = self._green
+        sqrt_nu = np.sqrt(self.nu_values)
+        # M = P N P = N - u w^T - w u^T with w = N u - (u.N u) u / 2.
+        w = g.n_u - 0.5 * float(g.u @ g.n_u) * g.u
+        m = sqrt_nu[:, None] * g.green * sqrt_nu[None, :]
+        m -= g.u[:, None] * w[None, :]
+        m -= w[:, None] * g.u[None, :]
+        try:
+            theta, vecs = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(str(exc)) from exc
+        floor = self._floor()
+        keep = theta > floor
+        return self._green_record(floor, theta[keep], vecs[:, keep])
+
+    @cached_property
+    def _slow_modes(self) -> _GreenModes:
+        """Lanczos slow modes of the Green's operator on networks of at least
+        ``_TRUNCATE_FROM`` vertices, converged; else :attr:`_green_modes`."""
+        if self.net.n_vertices < _TRUNCATE_FROM:
+            return self._green_modes
+        g = self._green
+        u, sqrt_nu = g.u, np.sqrt(self.nu_values)
+
+        def green_operator(x):
+            y = sqrt_nu * (g.green @ (sqrt_nu * (x - u * (u @ x))))
+            return y - u * (u @ y)
+
+        v0 = np.random.default_rng(0).standard_normal(len(u))
+        top = _lanczos(green_operator, v0 - u * (u @ v0))
+        if top is None:
+            return self._green_modes
+        theta, vecs = top
+        keep = theta > self._floor()
+        theta, vecs = theta[keep], vecs[:, keep]
+        slack = len(u) * np.finfo(float).eps
+        rest_f = math.sqrt(max(g.frobenius - theta @ theta, 0.0) + slack * g.n_frobenius)
+        rest_t = max(g.trace - theta.sum(), 0.0) + slack * g.n_trace
+        return self._green_record(min(rest_f, rest_t), theta, vecs)
+
+    def _takes_generator(self, t: float) -> bool:
+        """The crossover rule: t^2 <= |M|_F / |S|, with |M| infinite when the
+        grounded factorization fails."""
+        return self._green is None or t * t * self._generator_norm <= self._green.norm
 
     def _modes(self, t: float):
-        """(eigvals, back, fwd) whose kernels are certified at time t."""
-        if self.net.n_vertices >= _TRUNCATE_FROM:
+        """(eigvals, back, fwd) whose kernels at time t pass their checks."""
+        if self._takes_generator(t):
+            modes, model = self._spectral, np.finfo(float).eps * self._generator_norm * t
+        else:
             slow = self._slow_modes
-            if slow is not None and t >= slow[0]:
+            if t >= slow.t_min and _row_error(slow[1:], t) <= _ROW_SUM_TOL:
                 return slow[1:]
-        return self._spectral
+            green = self._green_modes
+            if t < green.t_min:
+                raise NumericalFailure(
+                    f"Green's operator kernels are certified from t = {green.t_min:.3e}, "
+                    f"not at t = {t:.3e}")
+            modes, model = green[1:], 0.0
+        error = model + _row_error(modes, t)
+        if error > _ROW_SUM_TOL:
+            raise NumericalFailure(f"kernels at t = {t:.3e} may be off by {error:.1e}")
+        return modes
 
     def kernel_matrix(self, t: float) -> np.ndarray:
         if t < 0:
@@ -223,6 +349,12 @@ class Generator:
             return np.ones(self.net.n_vertices)
         eigvals, back, fwd = self._modes(t)
         return np.einsum("xk,kx->x", back * np.exp(eigvals * t), fwd)
+
+
+def _row_error(modes, t: float) -> float:
+    """Largest |sum_y P_t(x, y) - 1| of the kernels from (eigvals, back, fwd)."""
+    eigvals, back, fwd = modes
+    return float(np.max(np.abs(back @ (np.exp(eigvals * t) * fwd.sum(axis=1)) - 1.0)))
 
 
 def _lanczos(apply, v0: np.ndarray):
@@ -409,6 +541,15 @@ def simulate_marginal(gen: Generator, start, t: float, rng_or_stream, n_paths: i
 # Aging and sub-aging two-point functions
 # ---------------------------------------------------------------------------
 
+def _probability(value) -> float:
+    """A computed probability: rounding past [0, 1] is snapped, a value more
+    than ``_ROW_SUM_TOL`` outside raises :class:`NumericalFailure`."""
+    value = float(value)
+    if not -_ROW_SUM_TOL <= value <= 1.0 + _ROW_SUM_TOL:
+        raise NumericalFailure(f"probability {value!r} lies outside [0, 1]")
+    return min(max(value, 0.0), 1.0)
+
+
 def aging_phi(gen: Generator, root, s: float, t: float, time_unit: float = 1.0) -> float:
     """P(X(time_unit * s) = X(time_unit * t)) started at the root; exact.
 
@@ -424,7 +565,7 @@ def aging_phi(gen: Generator, root, s: float, t: float, time_unit: float = 1.0) 
     lo, hi = (s, t) if s < t else (t, s)
     row = gen.kernel_row(root, time_unit * lo)
     diag = gen.kernel_diagonal(time_unit * (hi - lo))
-    return float(np.clip(row @ diag, 0.0, 1.0))
+    return _probability(row @ diag)
 
 
 def subaging_psi(gen: Generator, root, s: float, t: float,
@@ -445,7 +586,7 @@ def subaging_psi(gen: Generator, root, s: float, t: float,
     row = gen.kernel_row(root, time_unit * t)
     mu_tot = gen.net.total_conductance_vector
     decay = np.exp(-mu_tot * (holding_unit * s) / gen.nu_values)
-    return float(np.clip(row @ decay, 0.0, 1.0))
+    return _probability(row @ decay)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ Erdos-Renyi graph.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -254,20 +253,58 @@ def coding_functions(tree: PlaneTree) -> CodingData:
     return CodingData(height, walk, outdeg_counts, deg_counts, int(walk[1:m].sum()))
 
 
+def _prufer_code(k: int, m: int) -> list:
+    """The k-th Prufer code on [m] in lexicographic order."""
+    return [1 + (k // m ** e) % m for e in range(m - 3, -1, -1)]
+
+
 @lru_cache(maxsize=8)
-def _enumerate_plane_trees(m: int):
-    """All labeled trees on [m] as plane trees, with their a(T) values."""
-    trees = []
-    areas = []
+def _plane_tree_areas(m: int) -> np.ndarray:
+    """a(T) of every labeled tree on [m] as a plane tree (:func:`as_plane_tree`),
+    in the lexicographic order of the Prufer codes.
+
+    With d the depth-first index, a(T) is the sum over non-root vertices v of
+    d(v) - d(parent of v) - 1: the sizes of the subtrees of v's siblings with
+    smaller labels.  The codes are decoded side by side (Prufer decoding roots
+    the tree at m), rerooted at 1, and summed over sibling pairs.
+    """
     if m <= 2:
-        seqs = [()]
-    else:
-        seqs = itertools.product(range(1, m + 1), repeat=m - 2)
-    for seq in seqs:
-        tree = as_plane_tree(prufer_decode(list(seq), m), m)
-        trees.append(tree)
-        areas.append(coding_functions(tree).area)
-    return tuple(trees), np.array(areas)
+        return np.zeros(1, dtype=int)
+    count = m ** (m - 2)
+    rows = np.arange(count)
+    # Row k is _prufer_code(k, m).
+    codes = np.array([1 + (rows // m ** e) % m for e in range(m - 3, -1, -1)]).T
+    degree = np.ones((count, m + 1), dtype=int)
+    degree[:, 0] = 0
+    for j in range(m - 2):
+        degree[rows, codes[:, j]] += 1
+    up = np.zeros((count, m + 1), dtype=int)      # parents toward m
+    for j in range(m - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        up[rows, leaf] = codes[:, j]
+        degree[rows, leaf] = 0
+        degree[rows, codes[:, j]] -= 1
+    up[rows, np.argmax(degree == 1, axis=1)] = m
+    # Reverse the path from 1 to m; 0 marks the root.
+    parent = up.copy()
+    parent[:, 1] = 0
+    cur = np.ones(count, dtype=int)
+    for _ in range(m - 1):
+        live = cur != m
+        nxt = up[rows, cur]
+        parent[rows[live], nxt[live]] = cur[live]
+        cur = np.where(live, nxt, cur)
+    size = np.ones((count, m + 1), dtype=int)
+    for v in range(2, m + 1):
+        anc = parent[:, v]
+        for _ in range(m - 1):
+            size[rows, anc] += 1
+            anc = parent[rows, anc]
+    area = np.zeros(count, dtype=int)
+    for v in range(3, m + 1):
+        for u in range(2, v):
+            area += np.where(parent[:, u] == parent[:, v], size[:, u], 0)
+    return area
 
 
 def tilted_tree(m: int, p: float, rng_or_stream, method: str = "enumeration") -> PlaneTree:
@@ -284,13 +321,14 @@ def tilted_tree(m: int, p: float, rng_or_stream, method: str = "enumeration") ->
     if method == "enumeration":
         if m > 8:
             raise TooLargeForEnumeration("enumeration supports m <= 8")
-        trees, areas = _enumerate_plane_trees(m)
+        areas = _plane_tree_areas(m)
         weights = (1.0 - p) ** (-areas.astype(float))
         weights /= weights.sum()
-        return trees[int(rng.choice(len(trees), p=weights))]
+        k = int(rng.choice(len(areas), p=weights))
+        return as_plane_tree(prufer_decode(_prufer_code(k, m), m), m)
     if method == "rejection":
         if m <= 8:
-            a_max = int(_enumerate_plane_trees(m)[1].max())
+            a_max = int(_plane_tree_areas(m).max())
         else:
             a_max = (m - 1) * (m - 2) // 2
         while True:

@@ -268,7 +268,11 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
 
     ``evaluators`` maps a statistic name to a function (env, root, s, t) ->
     value; all statistics share each replica's trap environment and spectral
-    factorization.
+    factorization.  ``failures`` counts the cells, one statistic of one
+    replica at one level and (s, t), whose evaluation raised a
+    :class:`TrapnetsError`; a level whose environment cannot be built fails
+    all of its cells.  A stabilization diff compares two consecutive levels
+    of the config, and is left out unless both have annealed means.
     """
     law = config.law()
     table = ResultTable()
@@ -277,6 +281,9 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     if coupled:
         level_graphs, n_keys, conductances = _build_coupled_levels(config)
         sobol_rows = _sobol_uniforms(config, n_keys) if config.sampler == "sobol" else None
+
+    cells = [(s, t, stat, evaluate) for s in config.s_grid for t in config.t_grid
+             for stat, evaluate in evaluators.items()]
 
     def run_replica(rep: int):
         out = []
@@ -299,19 +306,18 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
                     traps = law.quantile(1.0 - base.child(3, slot).generator().random(net.n_vertices))
                 nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
                 env = TrapEnvironment(net, nu, scales[n])
-                for s in config.s_grid:
-                    for t in config.t_grid:
-                        for stat, evaluate in evaluators.items():
-                            out.append((n, rep, s, t, stat, evaluate(env, root, s, t)))
-                if config.kind == "conductance_path" and rep == 0:
-                    # Spatial-truncation diagnostic: the exit-time bound for
-                    # leaving the window within the longest probed horizon
-                    # certifies (heuristically) that the finite path stands
-                    # in for the infinite one when it is well below 1e-3.
-                    out.append((n, rep, 0.0, 0.0, "window_exit_bound",
-                                _window_exit_bound(env, config)))
             except TrapnetsError:
-                out.append((n, rep, math.nan, math.nan, None, None))
+                out += [(n, rep, s, t, stat, None) for s, t, stat, _ in cells]
+                continue
+            for s, t, stat, evaluate in cells:
+                out.append((n, rep, s, t, stat, _cell(evaluate, env, root, s, t)))
+            if config.kind == "conductance_path" and rep == 0:
+                # Spatial-truncation diagnostic: the exit-time bound for
+                # leaving the window within the longest probed horizon
+                # certifies (heuristically) that the finite path stands
+                # in for the infinite one when it is well below 1e-3.
+                out.append((n, rep, 0.0, 0.0, "window_exit_bound",
+                            _cell(_window_exit_bound, env, config)))
         return out
 
     # Results are read in replica order, so the table does not depend on
@@ -325,7 +331,7 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     values: dict = {}
     for out in results:
         for n, r, s, t, stat, v in out:
-            if stat is None:
+            if v is None:
                 table.failures += 1
                 continue
             table.add(n, r, s, t, stat, v)
@@ -343,12 +349,19 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     for stat in evaluators:
         for s in config.s_grid:
             for t in config.t_grid:
-                seq = [means[(stat, n, s, t)] for n in config.levels
-                       if (stat, n, s, t) in means]
-                for i in range(len(seq) - 1):
-                    table.add(config.levels[i + 1], -1, s, t,
-                              stat + "_stabilization_diff", abs(seq[i + 1] - seq[i]))
+                for prev, n in zip(config.levels, config.levels[1:]):
+                    if (stat, prev, s, t) in means and (stat, n, s, t) in means:
+                        table.add(n, -1, s, t, stat + "_stabilization_diff",
+                                  abs(means[(stat, n, s, t)] - means[(stat, prev, s, t)]))
     return table
+
+
+def _cell(evaluate, *args):
+    """evaluate(*args), or None when it raises a :class:`TrapnetsError`."""
+    try:
+        return evaluate(*args)
+    except TrapnetsError:
+        return None
 
 
 def _window_exit_bound(env, config: ExperimentConfig) -> float:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import dynamics, measures, networks, traps
 from .ensembles import sierpinski
+from .errors import NumericalFailure
 from .measures import DiscreteMeasure
 from .networks import FiniteMetricSpace
 from .rng import RngStream
@@ -283,7 +285,7 @@ def _check_truncated_kernels(seed: int):
         gen = env.generator
         t = env.scale.a * env.scale.c
         slow = gen._slow_modes
-        if slow is None or t < slow[0]:
+        if slow is gen._green_modes or t < slow.t_min:
             return False, f"draw {i}: truncation not certified at t = a*c"
         kernel = gen.kernel_matrix(t)
         reference = green_operator_kernel(gen, t)[0]
@@ -296,6 +298,49 @@ def _check_truncated_kernels(seed: int):
         if gap > 1e-9:
             return False, f"draw {i}: truncated kernel differs from the reference by {gap:.2e}"
     return True, f"worst gap to the Green's operator kernel {worst:.2e}"
+
+
+def _check_kernel_paths(seed: int):
+    """Gasket level 3, one Pareto(0.2) trap draw (nu spans about 1e6 to 1e13),
+    t on a log grid from 1e-6 a*c to 10 a*c: every kernel call raises
+    :class:`NumericalFailure` or matches its reference within its stated
+    bound.  Below the generator/Green's operator crossover the reference is
+    expm(Q t), within the generator's first-order bound
+    eps (|S| t + n) (nu(V) / min nu)^(1/2) plus the allowance of expm
+    itself, 1e-12 + 100 eps |Q| t; above it, the full eigendecomposition of
+    the Green's operator, within twice the first-order model
+    n eps |M|_F 4 e^(-2) / t that each of the two computations carries."""
+    net = sierpinski(3).network
+    env = traps.make_environment(net, TrapLaw(0.2), (5.0 / 3.0) ** 3, 3.0 ** 3,
+                                 RngStream(seed).child(17))
+    gen = env.generator
+    nu, eps = gen.nu_values, np.finfo(float).eps
+    q_norm = float(np.max(net.total_conductance_vector / nu))
+    amplification = math.sqrt(nu.sum() / nu.min())
+    served = {"generator": 0, "Green's operator": 0, "refused": 0}
+    worst = 0.0
+    for t in env.scale.a * env.scale.c * np.logspace(-6, 1, 15):
+        try:
+            kernel, diag = gen.kernel_matrix(t), gen.kernel_diagonal(t)
+        except NumericalFailure:
+            served["refused"] += 1
+            continue
+        if gen._takes_generator(t):
+            side, reference = "generator", scipy.linalg.expm(gen.matrix * t)
+            bound = (eps * amplification * (gen._generator_norm * t + net.n_vertices)
+                     + 1e-12 + 100.0 * eps * q_norm * t)
+        else:
+            side, reference = "Green's operator", green_operator_kernel(gen, t)[0]
+            bound = 1e-12 + 2.0 * gen._floor() * 4.0 * math.exp(-2.0) / t
+        served[side] += 1
+        gap = max(np.max(np.abs(kernel - reference)),
+                  np.max(np.abs(diag - np.diag(reference))))
+        worst = max(worst, gap / bound)
+        if gap > bound:
+            return False, (f"{side} kernel at t = {t:.3e} differs from its reference "
+                           f"by {gap:.2e} > {bound:.2e}")
+    counts = ", ".join(f"{k} {v}" for k, v in served.items())
+    return True, f"{counts}; worst gap {worst:.2f} of its bound"
 
 
 def _check_gasket(max_level: int):
@@ -333,6 +378,7 @@ def run_suite(seed: int = 0, quick: bool = True):
         ("traps.scaling_identity", lambda: _check_scaling_identity(seed, count if quick else 100)),
         ("dynamics.kernel_invariants", lambda: _check_kernel_suite(seed, 10 if quick else 40)),
         ("dynamics.truncated_kernels", lambda: _check_truncated_kernels(seed)),
+        ("dynamics.kernel_paths", lambda: _check_kernel_paths(seed)),
         ("ensembles.gasket_closed_forms", lambda: _check_gasket(4 if quick else 8)),
     ]
     results = []

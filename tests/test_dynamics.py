@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -436,6 +437,115 @@ class TestPinnedJumpChain:
         assert chk.local_bound == -0.09428436671377685
 
 
+class MpKernels:
+    """Kernels of the trap chain from an mpmath eigendecomposition of the
+    symmetrized generator at dps digits."""
+
+    def __init__(self, env, dps=60):
+        net = env.network
+        self.env, self.dps, self.n = env, dps, net.n_vertices
+        with mp.workdps(dps):
+            self.nu = [mp.mpf(env.nu.atoms[v]) for v in net.vertex_ids]
+            self.mu = [mp.mpf(0)] * self.n
+            sym = mp.zeros(self.n, self.n)
+            for x, y, w in net.edges():
+                i, j = net.index(x), net.index(y)
+                self.mu[i] += w
+                self.mu[j] += w
+                sym[i, j] = sym[j, i] = mp.mpf(w) / mp.sqrt(self.nu[i] * self.nu[j])
+            for i in range(self.n):
+                sym[i, i] = -self.mu[i] / self.nu[i]
+            self.lam, self.vec = mp.eigsy(sym)
+
+    def row(self, x, t):
+        lam, vec, nu = self.lam, self.vec, self.nu
+        with mp.workdps(self.dps):
+            e = [mp.exp(lam[k] * t) for k in range(self.n)]
+            return [mp.sqrt(nu[y] / nu[x]) * mp.fsum(vec[x, k] * vec[y, k] * e[k]
+                                                     for k in range(self.n))
+                    for y in range(self.n)]
+
+    def diagonal(self, t):
+        with mp.workdps(self.dps):
+            e = [mp.exp(self.lam[k] * t) for k in range(self.n)]
+            return [mp.fsum(self.vec[x, k] ** 2 * e[k] for k in range(self.n))
+                    for x in range(self.n)]
+
+    def two_point(self):
+        """phi(1, 2) and psi(1, 1) at scale a*c, from the root."""
+        env = self.env
+        with mp.workdps(self.dps):
+            unit, c = mp.mpf(env.scale.a) * mp.mpf(env.scale.c), mp.mpf(env.scale.c)
+            first = self.row(env.network.index(env.network.root), unit)
+            phi = mp.fsum(p * d for p, d in zip(first, self.diagonal(unit)))
+            psi = mp.fsum(p * mp.exp(-self.mu[x] * c / self.nu[x]) for x, p in enumerate(first))
+            return float(phi), float(psi)
+
+
+def root_row_and_diagonal(gen, modes, t):
+    """Root row and diagonal at time t from spectral data (eigvals, back, fwd),
+    computed as Generator computes them, without its checks."""
+    eigvals, back, fwd = modes
+    i = gen.net.index(gen.net.root)
+    return ((back[i] * np.exp(eigvals * t)) @ fwd,
+            np.einsum("xk,kx->x", back * np.exp(eigvals * t), fwd))
+
+
+def unchecked_two_point(gen, unit, c):
+    """phi(1, 2) and psi(1, 1) from the spectral data the crossover picks at
+    t = unit, without the checks of Generator._modes."""
+    modes = gen._spectral if gen._takes_generator(unit) else gen._green_modes[1:]
+    row, diag = root_row_and_diagonal(gen, modes, unit)
+    decay = np.exp(-gen.net.total_conductance_vector * c / gen.nu_values)
+    return row @ diag, row @ decay
+
+
+class TestKernelPaths:
+    """The generator below the generator/Green's operator crossover, the
+    Green's operator above it, and a refusal where neither passes."""
+
+    @staticmethod
+    def probe_env(level, alpha):
+        """Traps from the stream of the benchmark's small-alpha probes; at
+        alpha 0.05 they span about 1e49."""
+        return make_environment(sierpinski(level).network, TrapLaw(alpha), (5 / 3) ** level,
+                                3.0 ** level, RngStream(11).child(1))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_two_point_functions_match_mpmath(self, level, alpha):
+        env = self.probe_env(level, alpha)
+        root = env.network.root
+        gen, unit, c = env.generator, env.scale.a * env.scale.c, env.scale.c
+        exact = MpKernels(env).two_point()
+        try:
+            values = (aging_phi(gen, root, 1.0, 2.0, time_unit=unit),
+                      subaging_psi(gen, root, 1.0, 1.0, time_unit=unit, holding_unit=c))
+        except NumericalFailure:
+            # A refusal is warranted: the values would be off.
+            values = unchecked_two_point(gen, unit, c)
+            assert max(abs(v - e) for v, e in zip(values, exact)) > dynamics._ROW_SUM_TOL
+            return
+        assert max(abs(v - e) for v, e in zip(values, exact)) <= 1e-8
+
+    def test_generator_refused_where_its_rows_fail(self):
+        """At alpha 0.05 on gasket level 2 the rounding model eps |S| t of the
+        generator is below 1e-15 at t = 1, yet its kernel rows miss 1 by
+        about 7e6 there: the row check refuses every call."""
+        env = self.probe_env(2, 0.05)
+        gen, root, t = env.generator, env.network.root, 1.0
+        assert gen._takes_generator(t)
+        assert np.finfo(float).eps * gen._generator_norm * t < 1e-15
+        for call in (lambda: gen.kernel_row(root, t), lambda: gen.kernel_diagonal(t),
+                     lambda: transition_kernel(gen, t), lambda: aging_phi(gen, root, t, 2 * t),
+                     lambda: subaging_psi(gen, root, 1.0, t)):
+            with pytest.raises(NumericalFailure):
+                call()
+        row = root_row_and_diagonal(gen, gen._spectral, t)[0]
+        exact = np.array(MpKernels(env).row(env.network.index(root), t), dtype=float)
+        assert np.max(np.abs(row - exact)) > 1e-3
+
+
 class TestTruncatedKernels:
     """Gasket level 5 (366 vertices) takes its kernels at aging times from the
     certified slow modes of the Green's operator; elsewhere from the dense
@@ -581,23 +691,42 @@ class TestTruncatedKernels:
 
     @pytest.mark.parametrize("failure", [None, "no convergence", "factorization"])
     def test_uncertified_calls_take_the_dense_path(self, level5, monkeypatch, failure):
+        """An uncertified or unconverged Lanczos run gives way to the full
+        eigendecomposition of the Green's operator, bit for bit; a failed
+        grounded factorization leaves the generator within its bound, and a
+        refusal beyond it."""
         env = self.env(level5, 0.5, 0)
-        gen, unit = env.generator, env.scale.a * env.scale.c
-        t = 0.01 * unit if failure is None else unit
-        if failure == "no convergence":
-            monkeypatch.setattr(dynamics, "_LANCZOS_STEPS", 20)
-        elif failure == "factorization":
+        gen, unit, root = env.generator, env.scale.a * env.scale.c, level5.root
+        if failure == "factorization":
             def fail(net):
                 raise NumericalFailure("grounded Laplacian is not positive definite")
             monkeypatch.setattr(ElectricalNetwork, "green_matrix", property(fail))
-        row = gen.kernel_row(level5.root, t)
-        if failure is None:
-            assert t < gen._slow_modes[0]
+            # The generator serves t = 1; at a c its rounding model is past the bound.
+            assert np.finfo(float).eps * gen._generator_norm * unit > dynamics._ROW_SUM_TOL
+            with pytest.raises(NumericalFailure):
+                gen.kernel_row(root, unit)
+            t, reference = 1.0, gen._spectral
         else:
-            assert gen._slow_modes is None
-        d_row, d_diag = self.dense(gen, t)
-        assert np.array_equal(row, d_row)
+            if failure == "no convergence":
+                monkeypatch.setattr(dynamics, "_LANCZOS_STEPS", 20)
+            t = 0.01 * unit if failure is None else unit
+            assert not gen._takes_generator(t)
+            if failure is None:
+                assert t < gen._slow_modes.t_min
+            else:
+                assert gen._slow_modes is gen._green_modes
+            assert gen._green_modes.t_min <= t
+            reference = gen._green_modes[1:]
+        d_row, d_diag = root_row_and_diagonal(gen, reference, t)
+        assert np.array_equal(gen.kernel_row(root, t), d_row)
         assert np.array_equal(gen.kernel_diagonal(t), d_diag)
+
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_rows_sum_to_one(self, level5, draw):
+        env = self.env(level5, 0.5, draw)
+        for share in (0.01, 1.0, 2.0):
+            kernel = env.generator.kernel_matrix(share * env.scale.a * env.scale.c)
+            assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("share", [1.0, 0.01])
     def test_values_do_not_depend_on_earlier_calls(self, level5, share):

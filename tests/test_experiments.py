@@ -252,6 +252,33 @@ class TestFailureHandling:
         assert table.failures == 1
         assert len(table.select("phi")) == 7  # one of eight evaluations lost
 
+    def test_one_failure_costs_one_cell(self):
+        # aging_phi refuses s = 0; the s = 0.5 values of the same replica and
+        # level are kept, and each refused cell counts once.
+        table = run_aging_experiment(gasket_config(replicas=3, s_grid=[0.0, 0.5]))
+        assert table.failures == 9
+        phi = table.select("phi")
+        assert len(phi) == 9 and {r.s for r in phi} == {0.5}
+        assert {r.n for r in table.select("phi_annealed_mean")} == {1, 2, 3}
+
+    def test_stabilization_diffs_skip_a_level_without_means(self, monkeypatch):
+        import trapnets.experiments as ex
+        from trapnets.errors import NumericalFailure
+
+        real = ex._phi_evaluator
+
+        def level_2_fails(env, root, s, t):
+            if env.network.n_vertices == sierpinski(2).network.n_vertices:
+                raise NumericalFailure("injected")
+            return real(env, root, s, t)
+
+        monkeypatch.setattr(ex, "_phi_evaluator", level_2_fails)
+        table = ex.run_aging_experiment(gasket_config(levels=[1, 2, 3, 4], replicas=2))
+        means = {r.n: r.value for r in table.select("phi_annealed_mean")}
+        assert sorted(means) == [1, 3, 4]
+        diffs = table.select("phi_stabilization_diff")
+        assert [(r.n, r.value) for r in diffs] == [(4, abs(means[4] - means[3]))]
+
 
 class TestPathEnsembleTwoPoint:
     def test_conductance_path_aging_runs(self):
@@ -308,41 +335,41 @@ class TestWindowCertification:
 # if a platform change alone moves them.
 PINNED_DIGESTS = {
     ("aging", "sierpinski", "mc"):
-        "c03a2718f06f0cb9c98758d9dde9131917184ba2a73c581b0d3553ebc223c481",
+        "81c445805c3b5324295e2809ca80a26b802bb189fd899c02e03e7e59249d0528",
     ("aging", "sierpinski", "sobol"):
-        "83f215c41db16d32fe63823706f791f0fa546f463f1662ba6154d1ffa2ef5d4f",
+        "526dde5e017a2c276db2a649183f44362278d7ad1f95ecb5710d1f137dc9fcd0",
     ("aging", "conductance_path", "mc"):
-        "f15cde64c62857cf311f3b8e9c41ec88ecff86e2de55c08d8faabc30487a4f89",
+        "71ef58af21162c77599abd246f482a37d8e416d6766c73aba93051a196f16994",
     ("aging", "conductance_path", "sobol"):
-        "0a7fb098676972ac4ffb4fbe45cee66c9651e505bfc4c238ecad2196d889ddb8",
+        "67defdac951fd48fa31b5c63e4272b7f8e9b4a25541de47513cdb414d027c7e6",
     ("aging", "cayley_tree", "mc"):
-        "ae63782ed59a74f51530e6578485f68b8d8231aa1306f4673ca652d41ba9cbe0",
+        "f650ce0612c42d7016d267fda5af0e19a020cd6056e30a76880a268c054effb7",
     ("aging", "er_component", "mc"):
-        "24df4e99ddc2443cbbab3b95db99d5118a552cfa44f6182383af37fa4889b0fa",
+        "eb65cd2ece2b41e1efb14c0465ba01d689b60aa0654b87825a1e4e192b0f7e68",
     ("subaging", "sierpinski", "mc"):
-        "6c1fb95230302ee7a63b965c60b0100791b93d99c5d7d74aa3bb789b6ca2dc5f",
+        "de1aeee263cc5cf1302afda6d8f069f852f1b0f2a60d77fc93eb3e04bdfa39a0",
     ("subaging", "sierpinski", "sobol"):
-        "9d8cfc5df71eaae33b6277b3a0fd94ed853a7b2ac26ab59317e3c0fee38c3cdb",
+        "fb46fcc8d5650c5c167547d7e2415cbbfe805f25273e558e1b4051f0a9106dcb",
     ("subaging", "conductance_path", "mc"):
-        "5c1783c9980fddbb3fde05e37f4ed40c3a17d238389d472421e58b8cf2f93994",
+        "4e53265e4ecfc4cda8114a87180ef22ab5f1576847df0d0cec58f02c5acd3d43",
     ("subaging", "conductance_path", "sobol"):
-        "ccd58a12a1392a62eac7d46cb7e86ad8ad9762192450058ed1dab1695b17bf4c",
+        "089353520a22793c3f0f35370ab36483ce3c7498e4f13c0d02c255fea288d43a",
     ("subaging", "cayley_tree", "mc"):
-        "4125b477797fa4873d0a801f379d5ed6c6e6fd6a453042f84533280d084459e9",
+        "0aeaac8409a0cfc2a87c5a06968ca7ac5eac72d9967db4f7d71cb27aba953286",
     ("subaging", "er_component", "mc"):
-        "237960e14ba10616940dc14357892a4dc8592204e2e721838f1c2e9145aebc77",
+        "db48230d888eb01ba56dc87d36121935285733c66f9f70fd772d8f64f878efc4",
     ("two_point", "sierpinski", "mc"):
-        "600cc65c9d8a961af02c0afe9c717e8bda36c23805039df04035fe2498440441",
+        "225c1aa1942430545de0a1fc9fad735671880c0dd20e65293d95bffb378654a2",
     ("two_point", "sierpinski", "sobol"):
-        "dcbd0befcc013532b4f65e5b4652ae57e8d62f2b1ed6b2ccc9151d10bd493d75",
+        "4723d1bc82dd94280988b1c9a10d74822756e29e765efc57f763926687d6ab5e",
     ("two_point", "conductance_path", "mc"):
-        "b35d7ef86aedc35ad2eeaee1a7fb52e3c656527f1e56fe25ba26814baae13ae1",
+        "d83311e931d856c1de0b6833c8dd25cc10409527c0899f263ec923ed347b69ba",
     ("two_point", "conductance_path", "sobol"):
-        "2549333bcc8450d0c96423feee2662a4715eba9d2ae8eb1651fccd4439373a5d",
+        "bfb88518366a1c82acbeac7ea016b7f8afd9fa1d13d588fd3c3d44369ad7ebe3",
     ("two_point", "cayley_tree", "mc"):
-        "8734f6ad892eecdc2c7637f0e438445b7c7b67a23cf8fdb56cff59d8e959fe7d",
+        "6eb064346f59c260d587d6af7d64a6474e62ecd6b2e484d9e8b55b5210784256",
     ("two_point", "er_component", "mc"):
-        "c83f539e090051e5d5681b9eaa7af9de797dad93ffd7dba53c4e92a1056551d1",
+        "95ab6cd4598b73af59df7e5398743f4b7993afc19b746e5a6fa803b737717be0",
     ("traps", "sierpinski", "mc"):
         "9cd58d6ea12a017dcc227d8b8ec820645418ff415cf9a4e8312eb85d2cd48577",
     ("traps", "conductance_path", "mc"):
