@@ -17,7 +17,9 @@ probed over windows c*s) never mix scales implicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -463,27 +465,25 @@ class PathSample:
         return sum(1 for t in self.jump_times() if a < t <= b)
 
 
-def _gillespie_tables(gen: Generator):
+def _gillespie_tables(gen: Generator) -> list:
+    """One entry per state: (mean holding time, neighbour indices, cumulative
+    jump probabilities), as plain Python values.  The last cumulative
+    probability is exactly 1.0, so every uniform in [0, 1) picks a neighbour."""
     net = gen.net
-    means = []
-    targets = []
-    cums = []
-    for i, (v, mu_x) in enumerate(zip(net.vertex_ids, net.total_conductance_vector)):
-        nbrs = net.neighbors(v)
+    tables = []
+    for v, nu_x, mu_x in zip(net.vertex_ids, gen.nu_values.tolist(),
+                             net.total_conductance_vector.tolist()):
         if mu_x == 0.0:
-            means.append(math.inf)
-            targets.append([])
-            cums.append(np.array([]))
+            tables.append((math.inf, [], []))
             continue
-        means.append(gen.nu_values[i] / mu_x)
-        items = list(nbrs.items())
-        targets.append([net.index(y) for y, _ in items])
-        probs = np.array([w for _, w in items]) / mu_x
-        cums.append(np.cumsum(probs))
-    return means, targets, cums
+        items = net.neighbors(v).items()
+        cum = list(itertools.accumulate(w / mu_x for _, w in items))
+        cum[-1] = 1.0
+        tables.append((nu_x / mu_x, [net.index(y) for y, _ in items], cum))
+    return tables
 
 
-def _run_chain(tables, i: int, horizon: float, rng, inside=None, visits=None) -> int:
+def _run_chain(tables: list, i: int, horizon: float, rng, inside=None, visits=None) -> int:
     """Run the jump chain from state index i; return the index it stops in.
 
     Draws one exponential holding time per state entered and one scalar
@@ -492,10 +492,10 @@ def _run_chain(tables, i: int, horizon: float, rng, inside=None, visits=None) ->
     of indices, drawing no holding time there.  With ``visits``, each state
     entered is appended as (index, holding time cut at the horizon).
     """
-    means, targets, cums = tables
     t = 0.0
     while True:
-        hold = rng.exponential(means[i]) if means[i] < math.inf else math.inf
+        mean, targets, cum = tables[i]
+        hold = rng.exponential(mean) if mean < math.inf else math.inf
         if t + hold >= horizon:
             if visits is not None:
                 visits.append((i, horizon - t))
@@ -503,7 +503,7 @@ def _run_chain(tables, i: int, horizon: float, rng, inside=None, visits=None) ->
         if visits is not None:
             visits.append((i, hold))
         t += hold
-        i = targets[i][int(np.searchsorted(cums[i], rng.random(), side="right"))]
+        i = targets[bisect_right(cum, rng.random())]
         if inside is not None and i not in inside:
             return i
 
@@ -528,6 +528,8 @@ def simulate_marginal(gen: Generator, start, t: float, rng_or_stream, n_paths: i
     """Empirical distribution of the state at time t over n_paths runs."""
     if not t > 0:
         raise NonpositiveTime("time must be positive")
+    if n_paths < 1:
+        raise PreconditionViolated("n_paths must be at least 1")
     rng = as_generator(rng_or_stream)
     tables = _gillespie_tables(gen)
     counts = np.zeros(gen.net.n_vertices)
@@ -632,8 +634,6 @@ def scaled_surface(env, root, s_grid: Sequence[float], t_grid: Sequence[float],
 
 def _wilson_interval(successes: int, n: int, z: float = 2.5758293035489004):
     """Wilson score interval; default z is the two-sided 99% quantile."""
-    if n == 0:
-        return 0.0, 0.0, 1.0
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -688,6 +688,8 @@ def exit_time_bound_check(env, x, r: float, delta: float, horizon: float,
 
     When the ball covers the whole space both sides degenerate to zero.
     """
+    if n_paths < 1:
+        raise PreconditionViolated("n_paths must be at least 1")
     res = boundary_resistance(env.network, x, r)
     bound = _exit_time_bound(env, x, res, delta, horizon)
     if math.isinf(res):
@@ -731,6 +733,8 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
         raise NonpositiveTime("time must be nonnegative")
     if not eps > 0:
         raise TrapnetsError("eps must be positive")
+    if n_paths < 0 or (n_paths > 0 and rng_or_stream is None):
+        raise PreconditionViolated("n_paths must be 0, or positive with a random stream")
     gen = env.generator
     net = env.network
     ix = net.index(x)
@@ -740,7 +744,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     closed_ball = np.flatnonzero(ball_mask(net.resistance_matrix[ix], eps, closed=True))
     nu_ball = float(gen.nu_values[closed_ball].sum())
     mass_ratio = float(gen.nu_values[ix]) / nu_ball
-    if n_paths > 0 and rng_or_stream is not None:
+    if n_paths > 0:
         exit_ci_high = _exit_interval(env, x, eps, t, rng_or_stream, n_paths)[2]
     else:
         exit_ci_high = 1.0

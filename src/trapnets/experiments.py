@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .dynamics import aging_phi, subaging_psi
 from .ensembles import (
@@ -254,6 +254,8 @@ def _sobol_uniforms(config: ExperimentConfig, n_keys: int) -> np.ndarray:
     the stabilization diagnostics keep their common-random-number structure
     while the annealed means converge much faster than plain Monte Carlo.
     """
+    # Imported here: scipy.stats takes most of a second to import, and only
+    # sobol configs need it.
     from scipy.stats import qmc
 
     stream = RngStream(config.seed).child(42)
@@ -485,14 +487,14 @@ def _void_rows(table: ResultTable, cells: list, name: str, n, r, u,
         chi = ((observed - expected) ** 2 / expected
                + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected))
         cells.append(chi)
-        table.add(n, -1, r, u, name + "_void_pvalue", float(stats.chi2.sf(chi, 1)))
+        table.add(n, -1, r, u, name + "_void_pvalue", float(chdtrc(1, chi)))
 
 
 def _aggregate_row(table: ResultTable, cells: list, name: str, n) -> None:
     """Aggregate chi-square p-value over the boxes of one level, if any."""
     if cells:
         table.add(n, -1, 0.0, 0.0, name + "_void_aggregate_pvalue",
-                  float(stats.chi2.sf(sum(cells), len(cells))))
+                  float(chdtrc(len(cells), sum(cells))))
 
 
 def law_residual(law: TrapLaw, scale: ScaleTriple, u: float) -> float:

@@ -12,7 +12,7 @@ import io
 import json
 
 from .errors import TrapnetsError
-from .measures import DiscreteMeasure, PointMeasure
+from .measures import DiscreteMeasure
 from .networks import ElectricalNetwork, build_network
 from .traps import ScaleTriple, TrapEnvironment
 
@@ -38,24 +38,10 @@ def network_from_json(text: str) -> ElectricalNetwork:
         raise TrapnetsError(f"network JSON missing field {exc}") from exc
 
 
-def coords_from_json(text: str) -> dict | None:
-    payload = json.loads(text)
-    raw = payload.get("coords")
-    if raw is None:
-        return None
-    return {int(v): tuple(c) for v, c in raw.items()}
-
-
-def measure_to_json(measure) -> str:
-    if isinstance(measure, DiscreteMeasure):
-        rows = [{"point": p, "weight": w} for p, w in measure.atoms.items()]
-    elif isinstance(measure, PointMeasure):
-        if measure.marked:
-            rows = [{"point": a[0], "mark": a[1], "weight": a[2]} for a in measure.atoms]
-        else:
-            rows = [{"point": a[0], "weight": a[1]} for a in measure.atoms]
-    else:
-        raise TrapnetsError("unsupported measure type")
+def measure_to_json(measure: DiscreteMeasure) -> str:
+    if not isinstance(measure, DiscreteMeasure):
+        raise TrapnetsError("only discrete measures have a JSON format")
+    rows = [{"point": p, "weight": w} for p, w in measure.atoms.items()]
     return json.dumps(rows, separators=(",", ":"))
 
 
@@ -65,16 +51,6 @@ def discrete_measure_from_json(text: str, carrier) -> DiscreteMeasure:
     for row in rows:
         atoms[row["point"]] = atoms.get(row["point"], 0.0) + float(row["weight"])
     return DiscreteMeasure(carrier, atoms)
-
-
-def point_measure_from_json(text: str, carrier) -> PointMeasure:
-    rows = json.loads(text)
-    marked = bool(rows) and "mark" in rows[0]
-    if marked:
-        atoms = tuple((r["point"], float(r["mark"]), float(r["weight"])) for r in rows)
-    else:
-        atoms = tuple((r["point"], float(r["weight"])) for r in rows)
-    return PointMeasure(carrier, atoms, marked=marked)
 
 
 def environment_to_json(env: TrapEnvironment, seed: int | None = None) -> str:
@@ -94,27 +70,6 @@ def environment_from_json(text: str, carrier=None) -> TrapEnvironment:
     nu = DiscreteMeasure(carrier, atoms)
     a, b, c = payload["scale"]
     return TrapEnvironment(net, nu, ScaleTriple(a, b, c))
-
-
-def plane_tree_to_json(tree) -> str:
-    """Parent-array encoding (depth-first order) with the label sequence."""
-    return json.dumps({"parent": list(tree.parent), "labels": list(tree.labels)},
-                      separators=(",", ":"))
-
-
-def plane_tree_from_json(text: str):
-    from .ensembles import PlaneTree
-
-    payload = json.loads(text)
-    return PlaneTree(tuple(payload["parent"]), tuple(payload["labels"]))
-
-
-def pointset_to_json(points) -> str:
-    return json.dumps([list(p) for p in points], separators=(",", ":"))
-
-
-def pointset_from_json(text: str) -> tuple:
-    return tuple(tuple(p) for p in json.loads(text))
 
 
 def format_value(x: float) -> str:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trapnets
 from trapnets.cli import main
 from trapnets.ensembles import surplus_attachment, tilted_tree
 from trapnets.experiments import ExperimentConfig, run_two_point_experiment
@@ -243,23 +248,6 @@ class TestKernelDump:
         assert code == 2 and "horizon" in err
 
 
-class TestTreeSerialization:
-    def test_plane_tree_round_trip(self):
-        from trapnets import as_plane_tree, uniform_cayley_tree
-        from trapnets.rng import RngStream
-        from trapnets.serialize import plane_tree_from_json, plane_tree_to_json
-
-        tree = as_plane_tree(uniform_cayley_tree(9, RngStream(1)), 9)
-        back = plane_tree_from_json(plane_tree_to_json(tree))
-        assert back == tree
-
-    def test_pointset_round_trip(self):
-        from trapnets.serialize import pointset_from_json, pointset_to_json
-
-        pts = ((0, 1), (3, 0), (5, 2))
-        assert pointset_from_json(pointset_to_json(pts)) == pts
-
-
 class TestWeightedNetworkRoundTrip:
     def test_irrational_weights_bit_exact(self, tmp_path):
         import math
@@ -272,3 +260,14 @@ class TestWeightedNetworkRoundTrip:
         back = network_from_json(text)
         assert back.conductance(1, 2) == math.pi
         assert network_to_json(back) == text
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes most of a second and about 33 MiB to import; only
+        # the sobol sampler needs it, and it imports it when called.
+        src = str(Path(trapnets.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for module in ("trapnets", "trapnets.cli"):
+            code = f"import sys, {module}; sys.exit('scipy.stats' in sys.modules)"
+            assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0, module

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -435,6 +436,63 @@ class TestPinnedJumpChain:
         env, root, unit = gasket_env
         chk = return_probability_bounds_check(env, root, 0.05 * unit, 1.4, RngStream(14), 200)
         assert chk.local_bound == -0.09428436671377685
+
+
+class TestJumpChainDigests:
+    """sha256 of the jump-chain outputs on a gasket level-3 environment, so a
+    change in any draw, table entry or float operation shows."""
+
+    @staticmethod
+    def digest(obj) -> str:
+        return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+    def test_pinned_digests(self):
+        net = sierpinski(3).network
+        env = make_environment(net, TrapLaw(0.5), (5 / 3) ** 3, 27.0, RngStream(31))
+        root, unit = net.root, env.scale.a * env.scale.c
+        path = simulate_path(env.generator, root, 0.5 * unit, RngStream(32))
+        assert self.digest((path.states, path.durations)) == (
+            "77082eb870fba2928627d151e7a994ac62e40e1166cd197b2e13ee47e8b58555")
+        freq = simulate_marginal(env.generator, root, 0.1 * unit, RngStream(33), 500)
+        assert hashlib.sha256(freq.tobytes()).hexdigest() == (
+            "209a9268f26e428c96936ff709c2bdaf0ca897c24a8165c31b1258a744ba6bd5")
+        res = exit_time_bound_check(env, root, 2.0, 0.3, 0.05 * unit, RngStream(34), 300)
+        assert self.digest((res.empirical, res.ci_low, res.ci_high, res.bound)) == (
+            "c4c6e5165a19a781e1ccb1d20493752d96f4a86edf8e1df02e8e2d43941e030c")
+
+
+class TestJumpChainEdges:
+    def test_uniform_at_last_cumulative_rounding_picks_last_neighbour(self):
+        # At the centre of a star with 10 unit edges the cumulative jump
+        # probabilities sum to 1 - 2^-53 in floating point; a uniform equal to
+        # that value must still pick a neighbour.
+        class Draws:
+            def exponential(self, mean):
+                return 0.5 * mean
+
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        net = build_network(list(range(11)), [(0, k, 1.0) for k in range(1, 11)], root=0)
+        gen = generator(net, DiscreteMeasure(None, {v: 1.0 for v in range(11)}))
+        path = simulate_path(gen, 0, 1.2, Draws())
+        assert path.states == (0, 10, 0, 10, 0, 10)
+
+    def test_marginal_rejects_no_paths(self):
+        env = two_state_env()
+        with pytest.raises(PreconditionViolated):
+            simulate_marginal(env.generator, 1, 1.0, RngStream(1), 0)
+
+    def test_exit_check_rejects_negative_paths(self, unit_triangle):
+        env = make_environment(unit_triangle, TrapLaw(0.5), 1.0, 2.0, RngStream(2))
+        with pytest.raises(PreconditionViolated):
+            exit_time_bound_check(env, 1, 0.5, 0.1, 1.0, RngStream(3), -4)
+
+    @pytest.mark.parametrize("stream, n_paths", [(RngStream(4), -1), (None, 200)])
+    def test_return_check_rejects_paths_it_cannot_run(self, stream, n_paths):
+        env = two_state_env()
+        with pytest.raises(PreconditionViolated):
+            return_probability_bounds_check(env, 1, 1.0, 0.2, stream, n_paths)
 
 
 class MpKernels:
