@@ -2,13 +2,14 @@
 
 A single JSON config describes the ensemble, the trap law, the level
 sequence with its scaling constants, the evaluation grids and replica
-counts.  Runners emit flat result tables with one row per statistic; all
-randomness flows through (seed, stream) pairs so reruns are bit-identical
-regardless of worker scheduling.
+counts; ``_CONFIG_KEYS`` lists every key it may hold.  Runners emit flat
+result tables with one row per statistic; all randomness flows through
+(seed, stream) pairs so reruns are bit-identical regardless of worker
+scheduling.
 
 Ensembles are decided in one place.  ``_SCALES`` gives each kind's space
 and mass normalizations; the nested kinds in ``COUPLED`` get their level
-graphs, with one coupling table for the trap uniforms, from
+graphs and each replica's coupled trap uniforms and conductances from
 ``_build_coupled_levels``; every other network comes from
 ``_level_network``.  The two-point runner maps its replicas over one
 thread pool of ``workers`` threads and collects them in replica order.
@@ -16,17 +17,16 @@ thread pool of ``workers`` threads and collects them in replica order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .dynamics import aging_phi, subaging_psi
+from .dynamics import _exit_time_bound, aging_phi, subaging_psi
 from .ensembles import (
     UniformConductanceLaw,
     conductance_path,
@@ -37,10 +37,10 @@ from .ensembles import (
 )
 from .errors import ConfigError, TrapnetsError
 from .measures import DiscreteMeasure, dis_measure_distance, local_hausdorff
-from .networks import FiniteMetricSpace, ball_mask
+from .networks import FiniteMetricSpace, ball_mask, boundary_resistance
 from .rng import RngStream
 from .traps import ScaleTriple, TrapEnvironment, TrapLaw, scaling_constant, truncated_prm
-from .serialize import format_value
+from .serialize import csv_text, format_value
 
 # Space and mass normalizations (a, b) of each ensemble at size parameter n.
 _SCALES = {
@@ -71,62 +71,97 @@ class ExperimentConfig:
     replicas: int = 1
     s_grid: tuple = (1.0,)
     t_grid: tuple = (2.0,)
-    u_min: float = 1.0
     lam: float = 0.0                      # ER window parameter
     path_bounds: tuple = (0.5, 2.0)       # conductance law support
     boxes: tuple = ()                     # (radius, u) pairs for trap stats
     prm_floor: float = 0.25
     workers: int = 1
     bootstrap: int = 400
-    sampler: str = "mc"                   # "mc" or "sobol" (deterministic ensembles)
+    sampler: str = "mc"                   # "mc" or "sobol" (nested ensembles)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        try:
-            kind = raw["ensemble"]
-            levels = tuple(raw["levels"])
-            alpha = float(raw["alpha"])
-            seed = int(raw["seed"])
-        except KeyError as exc:
-            raise ConfigError(f"config missing field {exc}") from exc
-        if kind not in KINDS:
-            raise ConfigError(f"ensemble must be one of {KINDS}, got {kind!r}")
-        if list(levels) != sorted(set(levels)) or not levels:
+        """Config from its JSON object; a missing key keeps its field's default."""
+        values = {}
+        for key, value in raw.items():
+            if key in _COMMAND_KEYS:
+                continue
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            name, convert = _CONFIG_KEYS[key]
+            values[name] = convert(key, value)
+        for key, (name, _) in _CONFIG_KEYS.items():
+            if name in _REQUIRED and name not in values:
+                raise ConfigError(f"config missing field {key!r}")
+        config = ExperimentConfig(**values)
+        if config.kind not in KINDS:
+            raise ConfigError(f"ensemble must be one of {KINDS}, got {config.kind!r}")
+        if list(config.levels) != sorted(set(config.levels)) or not config.levels:
             raise ConfigError("levels must be nonempty and strictly increasing")
-        if not 0.0 < alpha < 1.0:
+        if not 0.0 < config.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        replicas = int(raw.get("replicas", 1))
-        if replicas < 1:
+        if config.replicas < 1:
             raise ConfigError("replica count must be >= 1")
-        sampler = raw.get("sampler", "mc")
-        if sampler not in ("mc", "sobol"):
+        if config.sampler not in ("mc", "sobol"):
             raise ConfigError("sampler must be 'mc' or 'sobol'")
-        if sampler == "sobol" and kind not in COUPLED:
-            raise ConfigError("the sobol sampler needs a deterministic ensemble")
-        s_grid = tuple(raw.get("s_grid", (1.0,)))
-        t_grid = tuple(raw.get("t_grid", (2.0,)))
-        if not all(t > 0 for t in t_grid):
+        if config.sampler == "sobol" and config.kind not in COUPLED:
+            raise ConfigError("the sobol sampler needs a nested ensemble")
+        if not all(t > 0 for t in config.t_grid):
             raise ConfigError("t_grid times must be positive")
-        if not all(s >= 0 for s in s_grid):
+        if not all(s >= 0 for s in config.s_grid):
             raise ConfigError("s_grid times must be nonnegative")
-        workers = int(raw.get("workers", 1))
-        if workers < 1:
+        if config.workers < 1:
             raise ConfigError("worker count must be >= 1")
-        return ExperimentConfig(
-            kind=kind, levels=levels, alpha=alpha, seed=seed, replicas=replicas,
-            s_grid=s_grid, t_grid=t_grid,
-            u_min=float(raw.get("u_min", 1.0)),
-            lam=float(raw.get("lambda", 0.0)),
-            path_bounds=tuple(raw.get("path_bounds", (0.5, 2.0))),
-            boxes=tuple(tuple(b) for b in raw.get("boxes", ())),
-            prm_floor=float(raw.get("prm_floor", 0.25)),
-            workers=workers,
-            bootstrap=int(raw.get("bootstrap", 400)),
-            sampler=sampler,
-        )
+        return config
 
     def law(self) -> TrapLaw:
-        return TrapLaw(self.alpha, self.u_min)
+        return TrapLaw(self.alpha)
+
+
+def _scalar(kind, cast, what: str):
+    """Conversion of a JSON number of the numbers ABC ``kind``; bools are refused."""
+    def scalar(key, value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        return cast(value)
+    return scalar
+
+
+def _sequence(convert, length=None):
+    """Conversion of a list whose items go through ``convert``; ``length``
+    fixes the number of items."""
+    def sequence(key, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            shape = "a list" if length is None else f"a list of {length} items"
+            raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
+        return tuple(convert(key, item) for item in value)
+    return sequence
+
+
+_integer = _scalar(numbers.Integral, int, "an integer")
+_number = _scalar(numbers.Real, float, "a number")
+
+
+# JSON key -> (ExperimentConfig field, conversion).  Each default is the
+# field's default; the command-line keys choose the runner and the output.
+_CONFIG_KEYS = {
+    "ensemble": ("kind", lambda key, value: value),
+    "levels": ("levels", _sequence(_integer)),
+    "alpha": ("alpha", _number),
+    "seed": ("seed", _integer),
+    "replicas": ("replicas", _integer),
+    "s_grid": ("s_grid", _sequence(_number)),
+    "t_grid": ("t_grid", _sequence(_number)),
+    "lambda": ("lam", _number),
+    "path_bounds": ("path_bounds", _sequence(_number, 2)),
+    "boxes": ("boxes", _sequence(_sequence(_number, 2))),
+    "prm_floor": ("prm_floor", _number),
+    "workers": ("workers", _integer),
+    "bootstrap": ("bootstrap", _integer),
+    "sampler": ("sampler", lambda key, value: value),
+}
+_COMMAND_KEYS = ("experiment", "out")
+_REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
 @dataclass(frozen=True)
@@ -158,14 +193,10 @@ class ResultTable:
         return [r for r in self.rows if r.statistic == statistic]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "replica", "s", "t", "statistic", "value", "ci_low", "ci_high"])
-        for r in self.rows:
-            writer.writerow([r.n, r.replica, format_value(r.s), format_value(r.t),
-                             r.statistic, format_value(r.value),
-                             format_value(r.ci_low), format_value(r.ci_high)])
-        return buf.getvalue()
+        return csv_text(["n", "replica", "s", "t", "statistic", "value", "ci_low", "ci_high"],
+                        ([r.n, r.replica, format_value(r.s), format_value(r.t), r.statistic,
+                          format_value(r.value), format_value(r.ci_low), format_value(r.ci_high)]
+                         for r in self.rows))
 
 
 def bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
@@ -194,15 +225,17 @@ class _LevelGraph:
 
 
 def _build_coupled_levels(config: ExperimentConfig):
-    """Level graphs of a nested ensemble, with one shared coupling table.
+    """Level graphs of a nested ensemble, and each replica's coupled draws.
 
     Gasket and path levels nest: every vertex sits at a position of the top
     level, and each position gets one key (numbered in level order, then
     vertex order), so a replica's trap uniforms are shared across levels.
     Gasket networks are fixed; path networks cut their window out of one
     draw of conductances per integer edge of the top window.  Returns the
-    level graphs, the number of keys and the function drawing the shared
-    conductances from a stream (None for the gasket).
+    level graphs and two functions of the replica index: its trap uniforms
+    in (0, 1], one per key, and its shared conductances (None for the
+    gasket).  The uniforms are a Sobol row under the sobol sampler, and
+    otherwise come from the replica's stream ``child(rep, 0)``.
     """
     law = UniformConductanceLaw(*config.path_bounds)
     top = max(config.levels)
@@ -231,9 +264,18 @@ def _build_coupled_levels(config: ExperimentConfig):
                 return conductance_path(w, law, None, values=zeta[o:o + 2 * w]).network
         coupling = np.array([keys.setdefault(p, len(keys)) for p in positions])
         out.append(_LevelGraph(network, root, coords, coupling))
+    streams = RngStream(config.seed)
+    if config.sampler == "sobol":
+        sobol = 1.0 - _sobol_uniforms(config, len(keys))
+
+        def uniforms(rep):
+            return sobol[rep]
+    else:
+        def uniforms(rep):
+            return 1.0 - streams.child(rep, 0).generator().random(len(keys))
     if config.kind == "sierpinski":
-        return out, len(keys), lambda stream: None
-    return out, len(keys), lambda stream: law.sample(stream.generator(), 2 * 2 ** top)
+        return out, uniforms, lambda rep: None
+    return out, uniforms, lambda rep: law.sample(streams.child(rep, 1).generator(), 2 * 2 ** top)
 
 
 def _level_network(config: ExperimentConfig, n: int, stream: RngStream):
@@ -281,8 +323,7 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     scales = {n: default_scales(config.kind, n, law) for n in config.levels}
     coupled = config.kind in COUPLED
     if coupled:
-        level_graphs, n_keys, conductances = _build_coupled_levels(config)
-        sobol_rows = _sobol_uniforms(config, n_keys) if config.sampler == "sobol" else None
+        level_graphs, uniforms, conductances = _build_coupled_levels(config)
 
     cells = [(s, t, stat, evaluate) for s in config.s_grid for t in config.t_grid
              for stat, evaluate in evaluators.items()]
@@ -291,17 +332,13 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
         out = []
         base = RngStream(config.seed).child(rep)
         if coupled:
-            if sobol_rows is not None:
-                uniforms = 1.0 - sobol_rows[rep]
-            else:
-                uniforms = 1.0 - base.child(0).generator().random(n_keys)
-            zeta = conductances(base.child(1))
+            u, zeta = uniforms(rep), conductances(rep)
         for slot, n in enumerate(config.levels):
             try:
                 if coupled:
                     lg = level_graphs[slot]
                     net, root = lg.network(zeta), lg.root
-                    traps = law.quantile(uniforms[lg.coupling])
+                    traps = law.quantile(u[lg.coupling])
                 else:
                     net = _level_network(config, n, base.child(2, slot))
                     root = net.root
@@ -368,9 +405,6 @@ def _cell(evaluate, *args):
 
 def _window_exit_bound(env, config: ExperimentConfig) -> float:
     """Exit bound for leaving the truncated path window over the probed horizon."""
-    from .dynamics import _exit_time_bound
-    from .networks import boundary_resistance
-
     net = env.network
     row = net.resistance_matrix[net.index(net.root)]
     r = float(min(row[0], row[-1]))  # vertex order is -window .. window
@@ -425,7 +459,12 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     For each configured box A x (u, inf): the empirical void frequency over
     replicas against (1 - P(xi/c > u))^#A, a per-box chi-square p-value, the
     aggregate chi-square over boxes, and the exact scaling-identity residual.
+    The chi-square laws need independent replicas, so the sobol sampler is
+    refused.
     """
+    if config.sampler == "sobol":
+        raise ConfigError("the traps experiment needs independent replicas, "
+                          "so it does not take the sobol sampler")
     law = config.law()
     table = ResultTable()
     for n in config.levels:
@@ -517,7 +556,7 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
         table.add(0, -1, 0.0, 0.0, "skipped_no_common_embedding", 1.0)
         return table
     law = config.law()
-    level_graphs, n_keys, _ = _build_coupled_levels(config)
+    level_graphs, uniforms, _ = _build_coupled_levels(config)
     scales = [default_scales(config.kind, n, law) for n in config.levels]
 
     # Common carrier: union of scaled coordinates over all levels.
@@ -534,10 +573,10 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
         table.add(m, -1, 0.0, 0.0, "vertex_local_hausdorff",
                   local_hausdorff(points[slot], points[slot + 1], carrier))
         for rep in range(config.replicas):
-            uniforms = 1.0 - RngStream(config.seed).child(rep, 0).generator().random(n_keys)
+            u = uniforms(rep)
             measures = []
             for s in (slot, slot + 1):
-                traps = law.quantile(uniforms[level_graphs[s].coupling]) / scales[s].c
+                traps = law.quantile(u[level_graphs[s].coupling]) / scales[s].c
                 measures.append(DiscreteMeasure(carrier, dict(zip(points[s], map(float, traps)))))
             table.add(m, rep, 0.0, 0.0, "trap_dmdis", dis_measure_distance(*measures))
     return table

@@ -76,32 +76,30 @@ def format_value(x: float) -> str:
     return format(x, ".15g")
 
 
-def surface_to_csv(surface) -> str:
+def csv_text(header, rows) -> str:
+    """RFC-4180 text of a header and rows of cells, each line ended by "\\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s", "t", "value"])
-    for s, t, v in surface.rows():
-        writer.writerow([format_value(s), format_value(t), format_value(v)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def surface_to_csv(surface) -> str:
+    return csv_text(["s", "t", "value"],
+                    ([format_value(s), format_value(t), format_value(v)]
+                     for s, t, v in surface.rows()))
 
 
 def kernel_to_csv(kernel) -> str:
     matrix = kernel.matrix
     if matrix.shape[0] > 100:
         raise TrapnetsError("kernel dumps are limited to 100 states")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     ids = kernel.generator.net.vertex_ids
-    writer.writerow(["state"] + [str(v) for v in ids])
-    for v, row in zip(ids, matrix):
-        writer.writerow([str(v)] + [format_value(x) for x in row])
-    return buf.getvalue()
+    return csv_text(["state"] + [str(v) for v in ids],
+                    ([str(v)] + [format_value(x) for x in row] for v, row in zip(ids, matrix)))
 
 
 def path_to_csv(path) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "duration"])
-    for s, d in zip(path.states, path.durations):
-        writer.writerow([str(s), format_value(d)])
-    return buf.getvalue()
+    return csv_text(["state", "duration"],
+                    ([str(s), format_value(d)] for s, d in zip(path.states, path.durations)))

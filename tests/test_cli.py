@@ -205,7 +205,8 @@ class TestExperimentCommand:
         expected = run_two_point_experiment(ExperimentConfig.from_dict(cfg)).to_csv()
         assert (tmp_path / "table.csv").read_text() == expected
 
-    @pytest.mark.parametrize("field, value", [("t_grid", [-1.0]), ("workers", 0)])
+    @pytest.mark.parametrize("field, value", [("t_grid", [-1.0]), ("workers", 0),
+                                              ("levels", [1.5, 2])])
     def test_invalid_config_exits_1(self, capsys, tmp_path, field, value):
         cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
                "alpha": 0.5, "seed": 2, "replicas": 3, field: value,

@@ -52,6 +52,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             gasket_config(**{field: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("levels", [1.5, 2]), ("levels", "12"), ("levels", [True, 2]),
+        ("t_grid", 2), ("s_grid", ["1"]), ("alpha", "0.5"), ("seed", "3"),
+        ("replicas", 2.7), ("replicas", True), ("workers", 1.0), ("bootstrap", None),
+        ("boxes", [[1.0]]), ("boxes", 1.0), ("path_bounds", [0.5]),
+    ])
+    def test_malformed_values_rejected_by_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            gasket_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("replica", 100), ("u_min", 2.0)])
+    def test_unknown_keys_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            gasket_config(**{key: value})
+
     def test_default_scales(self):
         law = TrapLaw(0.5)
         s = default_scales("sierpinski", 3, law)
@@ -141,6 +156,10 @@ class TestAgingExperiments:
 
 
 class TestTrapConvergence:
+    def test_sobol_sampler_refused(self):
+        with pytest.raises(ConfigError, match="sobol"):
+            run_trap_convergence(gasket_config(sampler="sobol", replicas=8))
+
     def test_pareto_residual_identically_zero_ish(self):
         table = run_trap_convergence(gasket_config(levels=[1, 2], replicas=2000))
         residuals = [abs(r.value) for r in table.select("scaling_identity_residual")]
@@ -216,6 +235,14 @@ class TestMetricConvergence:
         atoms = {i: 1.0 + 0.1 * i for i in range(len(pts))}
         nu = DiscreteMeasure(space, atoms)
         assert dis_measure_distance(nu, nu) == 0.0
+
+    @pytest.mark.parametrize("kind", ["sierpinski", "conductance_path"])
+    def test_sobol_sampler_honored(self, kind):
+        cfg = {"ensemble": kind, "levels": [1, 2], "replicas": 4}
+        a = run_metric_convergence(gasket_config(sampler="sobol", **cfg)).to_csv()
+        b = run_metric_convergence(gasket_config(sampler="sobol", **cfg)).to_csv()
+        assert a == b
+        assert a != run_metric_convergence(gasket_config(**cfg)).to_csv()
 
     def test_er_skipped_with_report(self):
         cfg = ExperimentConfig.from_dict({
