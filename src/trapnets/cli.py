@@ -8,7 +8,6 @@ codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -123,9 +122,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    kind = raw.get("experiment", "aging")
+    raw = serialize.load_json(Path(args.config).read_text(), "config")
     config = experiments.ExperimentConfig.from_dict(raw)
+    kind = raw.get("experiment", "aging")
     runner = {
         "aging": experiments.run_aging_experiment,
         "subaging": experiments.run_subaging_experiment,

@@ -82,6 +82,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Config from its JSON object; a missing key keeps its field's default."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         values = {}
         for key, value in raw.items():
             if key in _COMMAND_KEYS:

@@ -221,8 +221,8 @@ def _atom_arrays(mu: DiscreteMeasure):
     return pts, w
 
 
-def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact Prohorov distance between finite discrete measures.
+def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: float = math.inf) -> float:
+    """Exact Prohorov distance P between finite discrete measures, capped: min(cap, P).
 
     The infimum over eps of the two-sided enlargement conditions is attained
     inside the finite set of pairwise atom distances joined with the max-flow
@@ -230,41 +230,59 @@ def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     per probe is exact.  The deficiency at a level is decreasing while the
     level increases, which makes the feasibility predicate monotone and lets
     the scan binary-search.
+
+    Every deficiency is at least the mass gap |mu(X) - nu(X)|, so
+    P >= |mu(X) - nu(X)|, and a gap of at least ``cap`` returns ``cap``
+    without a flow.  Otherwise the scan first probes the last level below
+    ``cap``: when that level is infeasible, one flow at the next level
+    settles min(cap, P); when it is feasible, only the levels below it are
+    searched.  Each level is flowed at most once per call.  The default
+    ``cap`` of infinity gives P itself.
     """
+    if not cap > 0:
+        raise TrapnetsError("cap must be positive")
     _check_same_carrier(mu, nu)
     pa, wa = _atom_arrays(mu)
     pb, wb = _atom_arrays(nu)
-    if not pa and not pb:
-        return 0.0
-    if not pa:
-        return float(wb.sum())
-    if not pb:
-        return float(wa.sum())
+    sa, sb = wa.sum(), wb.sum()
+    if not pa or not pb:
+        return min(cap, float(sa + sb))
+    if abs(sa - sb) >= cap:
+        return float(cap)
     cross = mu.carrier.distances(pa, pb)
     levels = np.unique(np.concatenate(([0.0], cross.ravel())))
-    tot = max(wa.sum(), wb.sum())
+    tot = max(sa, sb)
+    deficiencies: dict = {}
 
     def deficiency(k: int) -> float:
-        flow = _max_bipartite_flow(wa, wb, cross <= levels[k])
-        return max(tot - flow, 0.0)
+        if k not in deficiencies:
+            flow = _max_bipartite_flow(wa, wb, cross <= levels[k])
+            deficiencies[k] = float(max(tot - flow, 0.0))
+        return deficiencies[k]
 
+    def feasible(k: int) -> bool:
+        return deficiency(k) <= levels[k]
+
+    def settle(k: int) -> float:
+        """min(cap, P) when k is the first feasible level."""
+        if k > 0 and deficiency(k - 1) < levels[k]:
+            return min(cap, deficiency(k - 1))
+        return min(cap, float(levels[k]))
+
+    # hi is the last level below cap; levels[0] = 0 < cap.
+    lo, hi = 0, int(np.searchsorted(levels, cap)) - 1
+    if not feasible(hi):
+        if hi + 1 == len(levels):
+            return min(cap, deficiency(hi))
+        return settle(hi + 1) if feasible(hi + 1) else float(cap)
     # Find the first level where deficiency <= level (monotone predicate).
-    lo, hi = 0, len(levels) - 1
-    if deficiency(hi) > levels[hi]:
-        return float(deficiency(hi))
     while lo < hi:
         mid = (lo + hi) // 2
-        if deficiency(mid) <= levels[mid]:
+        if feasible(mid):
             hi = mid
         else:
             lo = mid + 1
-    k_star = lo
-    best = float(levels[k_star])
-    if k_star > 0:
-        d_prev = deficiency(k_star - 1)
-        if d_prev < levels[k_star]:
-            best = min(best, float(d_prev))
-    return best
+    return settle(lo)
 
 
 def prohorov_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure, max_support: int = 12) -> float:
@@ -323,10 +341,12 @@ def _breakpoint_segments(root_distances: Iterable[float]):
 
 
 def vague_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Integral of exp(-r) * (1 and Prohorov of the r-restrictions) dr, exactly.
+    """Integral of exp(-r) * min(1, Prohorov of the r-restrictions) dr, exactly.
 
     The integrand is piecewise constant in r with breakpoints at realized
-    root distances, so the integral reduces to a finite sum.
+    root distances, so the integral reduces to a finite sum.  Each term asks
+    :func:`prohorov` only for min(1, P) through ``cap=1.0``, so at most one
+    flow per term runs at a distance level of 1 or more.
     """
     _check_same_carrier(mu, nu)
     carrier = mu.carrier
@@ -337,7 +357,7 @@ def vague_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
             continue
         mu_r = DiscreteMeasure(carrier, {p: w for p, w in mu.atoms.items() if rds[p] <= included})
         nu_r = DiscreteMeasure(carrier, {p: w for p, w in nu.atoms.items() if rds[p] <= included})
-        total += weight * min(1.0, prohorov(mu_r, nu_r))
+        total += weight * prohorov(mu_r, nu_r, cap=1.0)
     return total
 
 

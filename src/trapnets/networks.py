@@ -247,8 +247,9 @@ def build_network(vertices: Iterable[int], weighted_edges: Iterable, root: int) 
             raise UnknownVertex(f"edge ({u!r}, {v!r}) references unknown vertex")
         if u == v:
             raise SelfLoop(f"self-loop at {u!r}")
-        if not w > 0:
-            raise NonpositiveConductance(f"edge ({u!r}, {v!r}) has weight {w}")
+        if not 0 < w < math.inf:
+            raise NonpositiveConductance(
+                f"edge ({u!r}, {v!r}) has weight {w}; conductances must be finite and positive")
         key = (u, v) if (v, u) not in cond else (v, u)
         if key in cond and cond[key] != w:
             raise TrapnetsError(f"conflicting weights for edge ({u!r}, {v!r})")

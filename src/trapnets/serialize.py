@@ -28,8 +28,18 @@ def network_to_json(net: ElectricalNetwork, coords: dict | None = None) -> str:
     return json.dumps(payload, indent=None, separators=(",", ":"))
 
 
+def load_json(text: str, what: str):
+    """Parse JSON text, raising TrapnetsError (not JSONDecodeError) when malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TrapnetsError(f"malformed {what} JSON: {exc}") from exc
+
+
 def network_from_json(text: str) -> ElectricalNetwork:
-    payload = json.loads(text)
+    payload = load_json(text, "network")
+    if not isinstance(payload, dict):
+        raise TrapnetsError("network JSON must be an object")
     try:
         return build_network(payload["vertices"],
                              [tuple(e) for e in payload["edges"]],
@@ -46,7 +56,7 @@ def measure_to_json(measure: DiscreteMeasure) -> str:
 
 
 def discrete_measure_from_json(text: str, carrier) -> DiscreteMeasure:
-    rows = json.loads(text)
+    rows = load_json(text, "measure")
     atoms: dict = {}
     for row in rows:
         atoms[row["point"]] = atoms.get(row["point"], 0.0) + float(row["weight"])
@@ -64,7 +74,7 @@ def environment_to_json(env: TrapEnvironment, seed: int | None = None) -> str:
 
 
 def environment_from_json(text: str, carrier=None) -> TrapEnvironment:
-    payload = json.loads(text)
+    payload = load_json(text, "trap environment")
     net = network_from_json(json.dumps(payload["network"]))
     atoms = {int(v): float(w) for v, w in payload["weights"].items()}
     nu = DiscreteMeasure(carrier, atoms)

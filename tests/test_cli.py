@@ -158,6 +158,20 @@ class TestResistanceCommand:
         value = float(out.strip())
         assert value == pytest.approx((2.0 / 3.0) * (5.0 / 3.0) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"vertices": [1, 2], "edges": ', id="truncated"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"vertices": [1, 2], "edges": [[1, 2, Infinity]], "root": 1}',
+                     id="infinite-conductance"),
+    ])
+    def test_malformed_network_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "resistance", "--net", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_boundary(self, capsys, gasket_file):
         code, out, _ = run_cli(capsys, "resistance", "--net", str(gasket_file),
                                "--source", "0", "--boundary", "100.0")
@@ -180,6 +194,16 @@ class TestMetricsCommand:
         values = dict(line.split(",") for line in out.strip().splitlines())
         assert set(values) == {"prohorov", "vague", "dis_measure"}
         assert float(values["prohorov"]) == pytest.approx(1.0)
+
+
+    def test_truncated_measure_exits_1(self, capsys, tmp_path, gasket_file):
+        a = tmp_path / "a.json"
+        a.write_text('[{"point": 0, "weight": ')
+        code, out, err = run_cli(capsys, "metrics", "--net", str(gasket_file),
+                                 "--measure-a", str(a), "--measure-b", str(a))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed measure JSON")
 
 
 class TestExperimentCommand:
@@ -205,14 +229,18 @@ class TestExperimentCommand:
         expected = run_two_point_experiment(ExperimentConfig.from_dict(cfg)).to_csv()
         assert (tmp_path / "table.csv").read_text() == expected
 
-    @pytest.mark.parametrize("field, value", [("t_grid", [-1.0]), ("workers", 0),
-                                              ("levels", [1.5, 2])])
+    @pytest.mark.parametrize("field, value", [
+        ("t_grid", [-1.0]), ("workers", 0), ("levels", [1.5, 2]),
+        # A field of None writes the value as the whole file.
+        pytest.param(None, "[1, 2]", id="not-an-object"),
+        pytest.param(None, '{"ensemble": ', id="truncated"),
+    ])
     def test_invalid_config_exits_1(self, capsys, tmp_path, field, value):
         cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
                "alpha": 0.5, "seed": 2, "replicas": 3, field: value,
                "out": str(tmp_path / "table.csv")}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(value if field is None else json.dumps(cfg))
         assert main(["experiment", "--config", str(path)]) == 1
         assert not (tmp_path / "table.csv").exists()
         assert "error:" in capsys.readouterr().err

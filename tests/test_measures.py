@@ -21,7 +21,7 @@ from trapnets import (
     vague_distance,
     vardom_distance,
 )
-from trapnets.errors import CarrierMismatch, NotACorrespondence
+from trapnets.errors import CarrierMismatch, NotACorrespondence, TrapnetsError
 from trapnets.measures import ProductCarrier, _max_bipartite_flow
 from trapnets.networks import FiniteMetricSpace
 from trapnets.rng import RngStream
@@ -117,6 +117,70 @@ class TestProhorov:
             values += [prohorov(mu, nu), vague_distance(mu, nu)]
         digest = hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
         assert digest == "9fc023fa99a3eda6481b2e8d8bbfb29e877185f9b1a3af196f047f3a5138f743"
+
+    @staticmethod
+    def _capped_cases():
+        """Seeded measure pairs on a resistance space, a line and its product carrier."""
+        rng = RngStream(52).generator()
+        space = random_connected_network(7, rng).resistance_space
+        pairs = [random_measure_pair(space, rng, max_atoms=6) for _ in range(40)]
+        line = line_space(np.sort(rng.random(8)) * 3.0)
+        product = ProductCarrier(line)
+        pts = line.point_ids
+        for _ in range(40):
+            k, extra = int(rng.integers(1, 5)), int(rng.integers(0, 2))
+            # Unit atoms: the mass gap is exactly 0 or 1.
+            a = rng.choice(len(pts), size=k, replace=False)
+            b = rng.choice(len(pts), size=k + extra, replace=False)
+            pairs.append((DiscreteMeasure(line, {pts[i]: 1.0 for i in a}),
+                          DiscreteMeasure(line, {pts[i]: 1.0 for i in b})))
+            # Shared atoms with different weights.
+            pairs.append((DiscreteMeasure(line, {pts[i]: float(rng.pareto(1.5)) + 0.05 for i in a}),
+                          DiscreteMeasure(line, {pts[i]: float(rng.pareto(1.5)) + 0.05 for i in a})))
+            lifted = [DiscreteMeasure(product, {(pts[i], float(rng.pareto(0.8)) + 1e-3):
+                                                0.2 * float(rng.pareto(0.8)) + 1e-3 for i in c})
+                      for c in (a, b)]
+            pairs.append(tuple(lifted))
+        # Restrictions to small balls, some of them empty on one side or both.
+        for mu, nu in list(pairs[:40]):
+            for r in (1e-9, 0.3, 1.0):
+                pairs.append((mu.restrict(r), nu.restrict(r)))
+        return pairs
+
+    @pytest.mark.parametrize("cap", [0.3, 1.0, 2.0])
+    def test_capped_search_is_exact(self, cap):
+        cases = self._capped_cases()
+        assert any(not mu.atoms or not nu.atoms for mu, nu in cases)
+        assert any(prohorov(mu, nu) > cap for mu, nu in cases)
+        for mu, nu in cases:
+            assert prohorov(mu, nu, cap=cap) == min(cap, prohorov(mu, nu))
+
+    def test_capped_search_flows_each_level_once(self, monkeypatch):
+        flowed = []
+
+        def recording(left, right, allowed):
+            flowed.append(allowed.tobytes())
+            return _max_bipartite_flow(left, right, allowed)
+
+        monkeypatch.setattr("trapnets.measures._max_bipartite_flow", recording)
+        gaps = 0
+        for mu, nu in self._capped_cases():
+            for cap in (1.0, math.inf):
+                flowed.clear()
+                prohorov(mu, nu, cap=cap)
+                if abs(mu.total() - nu.total()) >= cap:
+                    gaps += 1
+                    assert flowed == []
+                # Each level adds the atom pairs at that distance, so one
+                # level's allowed matrix differs from every other level's.
+                assert len(set(flowed)) == len(flowed)
+        assert gaps > 0
+
+    def test_cap_must_be_positive(self):
+        space = line_space([0.0, 1.0])
+        mu = DiscreteMeasure(space, {0: 1.0})
+        with pytest.raises(TrapnetsError):
+            prohorov(mu, mu, cap=0.0)
 
     def test_carrier_mismatch(self):
         s1 = line_space([0.0, 1.0])

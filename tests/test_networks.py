@@ -48,6 +48,11 @@ class TestBuildNetwork:
         with pytest.raises(NonpositiveConductance):
             build_network([1, 2], [(1, 2, 0.0)], root=1)
 
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_nonfinite_weight_rejected(self, weight):
+        with pytest.raises(NonpositiveConductance, match=f"weight {weight}"):
+            build_network([1, 2], [(1, 2, weight)], root=1)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             build_network([1, 2, 3], [(1, 2, 1.0)], root=1)
