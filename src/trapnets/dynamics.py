@@ -7,8 +7,12 @@ eigenmodes, taken from one of two operators chosen per call (see
 :class:`Generator`): the symmetrized generator at short times, and the
 Green's operator at long times, where only the slow modes survive.  A call
 that neither operator serves within its error bound raises
-:class:`NumericalFailure`.  Path samples come from the exact (Gillespie)
-jump chain.
+:class:`NumericalFailure`.  Network size (``networks.LARGE_FROM``) picks how
+the Green's operator is computed: from ``LARGE_FROM`` vertices on, the
+grounded inverse comes from a sparse LU factorization and the slow modes
+from Lanczos iteration; below it, from a dense Cholesky factorization and a
+full eigendecomposition.  Path samples come from the exact (Gillespie) jump
+chain.
 
 Aging and sub-aging two-point functions accept explicit time and holding
 units so that the rescaled quantities (walk observed at times a*c*t, holding
@@ -34,21 +38,12 @@ from .errors import (
     TrapnetsError,
 )
 from .measures import DiscreteMeasure
-from .networks import ElectricalNetwork, ball_mask, boundary_resistance
+from .networks import LARGE_FROM, ElectricalNetwork, ball_mask, boundary_resistance
 from .rng import as_generator
 
 _ROW_SUM_TOL = 1e-10
 _DENSITY_SYM_TOL = 1e-10
 
-# Networks with at least this many vertices take the slow modes of the
-# Green's operator by Lanczos iteration; smaller ones eigendecompose it in
-# full.  Both need the grounded inverse first.  Measured medians given the
-# inverse (one BLAS thread, critical ER components at alpha 0.5, full eigh
-# of M against Lanczos): 1.7 against 3.3 ms at 64-127 vertices, 4.3 against
-# 3.4 ms at 128-191, 7.2 against 4.1 ms at 192-255, 13.7 against 4.0 ms at
-# 256-319; Lanczos certified t = a*c on every one of the 70 networks of
-# 128-511 vertices.
-_TRUNCATE_FROM = 128
 # Slow modes asked of the one Lanczos run, besides the stationary mode.  At
 # t = a*c the certificate held with 16 modes for every one of 60 trap draws
 # at each of alpha 0.3, 0.5 and 0.8 on gasket level 5 (which needed at most
@@ -131,15 +126,17 @@ class Generator:
     row sums of the modes), plus eps |S| t on the generator side, must stay
     within ``_ROW_SUM_TOL``, or the call raises :class:`NumericalFailure`.
 
-    The network size decides only how M is eigendecomposed.  Below
-    ``_TRUNCATE_FROM`` vertices, and as the fallback above it, M is
-    eigendecomposed in full.  Eigenvalues at or below the floor n eps |M|_F
-    are rounding and are dropped, so these kernels are certified at
-    t >= floor * cut, cut = 36 + ln(nu(V) / min nu) / 2, and a call below
-    that raises :class:`NumericalFailure`.  From ``_TRUNCATE_FROM`` vertices
-    on, the stationary mode plus the ``_SLOW_MODES`` largest eigenvalues of M
-    come from Lanczos iteration with one product by G per step, Ritz values
-    at or below the floor dropped.  Every eigenvalue of M they leave out is
+    The network size decides how G is factorized (see
+    :attr:`ElectricalNetwork.green_matrix`: dense Cholesky below
+    ``LARGE_FROM`` vertices, sparse LU from it on) and how M is
+    eigendecomposed.  Below ``LARGE_FROM`` vertices, and as the fallback
+    above it, M is eigendecomposed in full.  Eigenvalues at or below the
+    floor n eps |M|_F are rounding and are dropped, so these kernels are
+    certified at t >= floor * cut, cut = 36 + ln(nu(V) / min nu) / 2, and a
+    call below that raises :class:`NumericalFailure`.  From ``LARGE_FROM``
+    vertices on, the stationary mode plus the ``_SLOW_MODES`` largest
+    eigenvalues of M come from Lanczos iteration with one product by G per
+    step, Ritz values at or below the floor dropped.  Every eigenvalue of M they leave out is
     at most rest = min(rest_F, rest_T), rest_F = (|M|_F^2 - sum theta^2)^(1/2)
     and rest_T = trace M - sum theta, since M is positive semidefinite.  That
     holds whatever the iteration missed, such as copies of a repeated
@@ -277,8 +274,8 @@ class Generator:
     @cached_property
     def _slow_modes(self) -> _GreenModes:
         """Lanczos slow modes of the Green's operator on networks of at least
-        ``_TRUNCATE_FROM`` vertices, converged; else :attr:`_green_modes`."""
-        if self.net.n_vertices < _TRUNCATE_FROM:
+        ``LARGE_FROM`` vertices, converged; else :attr:`_green_modes`."""
+        if self.net.n_vertices < LARGE_FROM:
             return self._green_modes
         g = self._green
         u, sqrt_nu = g.u, np.sqrt(self.nu_values)

@@ -18,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     DisconnectedGraph,
@@ -33,6 +35,18 @@ from .errors import (
 )
 
 _BALL_SNAP = 1e-12
+# Networks with at least this many vertices are large: their grounded inverse
+# comes from a sparse LU factorization, and the slow modes of the Green's
+# operator (see dynamics.Generator) from Lanczos iteration.  Both crossovers
+# were measured at one BLAS thread.  Grounded inverse, dense Cholesky against
+# sparse LU: 0.60 against 0.75 ms on critical ER components of 64-127
+# vertices, 1.75 against 1.16 ms at 128-191, 7.6 against 3.9 ms at 256-319,
+# 1.06 against 1.72 ms on gasket level 4 (123 vertices) and 13.5 against
+# 7.6 ms on level 5 (366).  Given the inverse, full eigh of M against
+# Lanczos: 1.7 against 3.3 ms at 64-127 vertices, 4.3 against 3.4 ms at
+# 128-191, 13.7 against 4.0 ms at 256-319; Lanczos certified t = a*c on
+# every one of the 70 ER components of 128-511 vertices at alpha 0.5.
+LARGE_FROM = 128
 
 
 def ball_tolerance(r: float) -> float:
@@ -197,17 +211,58 @@ class ElectricalNetwork:
         and on the other vertices the inverse of the Laplacian restricted to
         them, which is positive definite on a connected network.
 
-        Solved through one Cholesky factorization.  Conductances spread
-        beyond double precision fail it and raise :class:`NumericalFailure`.
+        Below ``LARGE_FROM`` vertices it is solved through one dense Cholesky
+        factorization of the restricted Laplacian.  From ``LARGE_FROM`` on it
+        is solved through one sparse LU factorization (SuperLU, diagonal
+        pivots, minimum-degree ordering of A^T + A) of the Laplacian with the
+        root row and column replaced by those of the identity; the dense
+        Laplacian is never formed, and the bits of g do not depend on the
+        BLAS thread count.  Either factorization refuses a grounded Laplacian
+        that is not positive definite in floating point, such as conductances
+        spread beyond double precision, with :class:`NumericalFailure`:
+        Cholesky when it meets a nonpositive pivot, the LU when SuperLU finds
+        the factor singular or any pivot (a diagonal entry of U) is not
+        positive.  With diagonal pivots the diagonal of U is the squared
+        diagonal of the Cholesky factor in the same ordering, so both apply
+        the same test.
         """
         n = self.n_vertices
-        keep = np.arange(n) != self.index(self.root)
+        root = self.index(self.root)
+        if n >= LARGE_FROM:
+            return self._sparse_green(root)
+        keep = np.arange(n) != root
         g = np.zeros((n, n))
         try:
             factor = scipy.linalg.cho_factor(self.laplacian[np.ix_(keep, keep)])
             g[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"grounded Laplacian is not positive definite: {exc}") from exc
+        return g
+
+    def _sparse_green(self, root: int) -> np.ndarray:
+        """:attr:`green_matrix` from one sparse LU factorization."""
+        n = self.n_vertices
+        iu, iv, w = self.edge_arrays
+        off_root = (iu != root) & (iv != root)
+        iu, iv, w = iu[off_root], iv[off_root], w[off_root]
+        diag = self.total_conductance_vector.copy()
+        diag[root] = 1.0
+        ends = np.arange(n)
+        grounded = scipy.sparse.csc_matrix(
+            (np.concatenate((-w, -w, diag)),
+             (np.concatenate((iu, iv, ends)), np.concatenate((iv, iu, ends)))),
+            shape=(n, n))
+        try:
+            lu = scipy.sparse.linalg.splu(grounded, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise NumericalFailure(f"grounded Laplacian is not positive definite: {exc}") from exc
+        if not np.all(lu.U.diagonal() > 0.0):
+            raise NumericalFailure("grounded Laplacian is not positive definite: "
+                                   "nonpositive pivot in its sparse LU factor")
+        g = lu.solve(np.eye(n))
+        g[root, root] = 0.0
         return g
 
     @cached_property

@@ -56,10 +56,23 @@ def measure_to_json(measure: DiscreteMeasure) -> str:
 
 
 def discrete_measure_from_json(text: str, carrier) -> DiscreteMeasure:
+    """Measure from a list of {"point": p, "weight": w} rows; repeated points add up.
+
+    Raises TrapnetsError when the JSON is malformed or not of that shape.
+    """
     rows = load_json(text, "measure")
+    if not isinstance(rows, list):
+        raise TrapnetsError("measure JSON must be a list of {point, weight} objects")
     atoms: dict = {}
     for row in rows:
-        atoms[row["point"]] = atoms.get(row["point"], 0.0) + float(row["weight"])
+        if not (isinstance(row, dict) and "point" in row and "weight" in row):
+            raise TrapnetsError(f"measure JSON row {row!r} is not an object with point and weight")
+        point, weight = row["point"], row["weight"]
+        if isinstance(point, (list, dict)):
+            raise TrapnetsError(f"measure JSON point {point!r} is not a number or string")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise TrapnetsError(f"measure JSON weight {weight!r} is not a number")
+        atoms[point] = atoms.get(point, 0.0) + float(weight)
     return DiscreteMeasure(carrier, atoms)
 
 

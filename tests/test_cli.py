@@ -196,14 +196,23 @@ class TestMetricsCommand:
         assert float(values["prohorov"]) == pytest.approx(1.0)
 
 
-    def test_truncated_measure_exits_1(self, capsys, tmp_path, gasket_file):
+    @pytest.mark.parametrize("text, message", [
+        ('[{"point": 0, "weight": ', "malformed measure JSON"),
+        ('{"point": 0}', "measure JSON must be a list"),
+        ('[1]', "measure JSON row 1 is not an object"),
+        ('[{"weight": 1.0}]', "is not an object with point and weight"),
+        ('[{"point": [0], "weight": 1.0}]', "point [0] is not a number"),
+        ('[{"point": 0, "weight": "x"}]', "weight 'x' is not a number"),
+    ], ids=["truncated", "object", "number_row", "no_point", "list_point", "string_weight"])
+    def test_truncated_measure_exits_1(self, capsys, tmp_path, gasket_file, text, message):
         a = tmp_path / "a.json"
-        a.write_text('[{"point": 0, "weight": ')
+        a.write_text(text)
         code, out, err = run_cli(capsys, "metrics", "--net", str(gasket_file),
                                  "--measure-a", str(a), "--measure-b", str(a))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: malformed measure JSON")
+        assert err.startswith("error: ")
+        assert message in err
 
 
 class TestExperimentCommand:

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import trapnets
 from trapnets import (
     add_unit_edges,
     boundary_resistance,
@@ -15,6 +21,7 @@ from trapnets import (
     resistance_between_sets,
     sierpinski,
 )
+from trapnets.ensembles import as_plane_tree, er_largest_component, uniform_cayley_tree
 from trapnets.errors import (
     DisconnectedGraph,
     EmptyClass,
@@ -26,6 +33,7 @@ from trapnets.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from trapnets.networks import LARGE_FROM
 from trapnets.rng import RngStream
 from trapnets.validate import random_connected_network
 
@@ -132,17 +140,104 @@ class TestResistanceOracles:
                 expected = float(g[i, i] + g[j, j] - 2 * g[i, j])
                 assert net.resistance_matrix[i, j] == pytest.approx(expected, rel=1e-12)
 
-    def test_spread_conductances(self):
+    @staticmethod
+    def spread_path(n, weak):
+        """Path 0-1-...-(n-1) rooted at 0, edge (0, 1) of conductance ``weak``
+        and the others 1; 3 vertices take the dense factorization, 130 the
+        sparse one."""
+        edges = [(0, 1, weak)] + [(i, i + 1, 1.0) for i in range(1, n - 1)]
+        return build_network(range(n), edges, root=0)
+
+    @pytest.mark.parametrize("n", [3, 130])
+    def test_spread_conductances(self, n):
         # Exact R(0, 1) is 1e9; the smallest nonzero Laplacian eigenvalue is
         # about 1e-9 of the largest, below any fixed relative eigen-threshold.
-        net = build_network([0, 1, 2], [(0, 1, 1e-9), (1, 2, 1.0)], root=0)
+        net = self.spread_path(n, 1e-9)
         assert net.resistance_matrix[0, 1] == pytest.approx(
             resistance_between_sets(net, [0], [1]), rel=1e-6)
 
-    def test_spread_beyond_double_precision_raises(self):
-        net = build_network([0, 1, 2], [(0, 1, 1e-17), (1, 2, 1.0)], root=0)
+    @pytest.mark.parametrize("n", [3, 130])
+    def test_spread_beyond_double_precision_raises(self, n):
+        net = self.spread_path(n, 1e-17)
         with pytest.raises(NumericalFailure):
             net.resistance_matrix
+
+    def test_tree_green_is_lowest_common_ancestor_depth(self):
+        # On a unit-conductance tree grounded at its root, G(x, y) is the
+        # resistance from the root to where the paths to x and y part: the
+        # depth of their lowest common ancestor.
+        m = 240
+        tree = as_plane_tree(uniform_cayley_tree(m, RngStream(31)), m)
+        net = tree.network()
+        assert net.n_vertices >= LARGE_FROM
+        # above[i, j]: the j-th visited vertex is a non-root ancestor of, or
+        # equal to, the i-th; common ones count the depth of the LCA.
+        above = np.zeros((m, m))
+        for i in range(1, m):
+            above[i] = above[tree.parent[i]]
+            above[i, i] = 1.0
+        order = [net.index(label) for label in tree.labels]
+        g = net.green_matrix[np.ix_(order, order)]
+        lca_depth = above @ above.T
+        np.testing.assert_allclose(g, lca_depth, rtol=0, atol=1e-12 * lca_depth.max())
+
+    @staticmethod
+    def dense_green(net):
+        n, root = net.n_vertices, net.index(net.root)
+        keep = np.arange(n) != root
+        g = np.zeros((n, n))
+        factor = scipy.linalg.cho_factor(net.laplacian[np.ix_(keep, keep)])
+        g[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1))
+        return g
+
+    def test_large_green_matches_dense_cholesky(self):
+        # The sparse LU path against the dense Cholesky it replaces from
+        # LARGE_FROM vertices on.  Both are backward stable; the worst gap
+        # seen over gasket level 5 and 40 critical ER components of 128 or
+        # more vertices was 2.5e-13 max|G|, so the bound is 1e-12 max|G|.
+        stream = RngStream(41)
+        er = next(net for net in (er_largest_component(4000, 0.0, stream.child(k))
+                                  for k in range(100))
+                  if net.n_vertices >= LARGE_FROM and len(net.edges()) > net.n_vertices)
+        for net in (er, sierpinski(5).network):
+            g, ref = net.green_matrix, self.dense_green(net)
+            root = net.index(net.root)
+            assert not g[root].any() and not g[:, root].any()
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+_GREEN_DIGEST = """
+import hashlib
+from trapnets import sierpinski
+from trapnets.ensembles import er_largest_component
+from trapnets.networks import LARGE_FROM
+from trapnets.rng import RngStream
+
+nets = [sierpinski(5).network]
+stream = RngStream(43)
+k = 0
+while len(nets) < 11:
+    net = er_largest_component(4000, 0.0, stream.child(k))
+    k += 1
+    if net.n_vertices >= LARGE_FROM:
+        nets.append(net)
+print(hashlib.sha256(b"".join(net.green_matrix.tobytes() for net in nets)).hexdigest())
+"""
+
+
+def test_large_green_bits_do_not_depend_on_blas_threads():
+    # The sparse factorization makes no threaded BLAS call, so the grounded
+    # inverse of gasket level 5 and of ten critical ER components of
+    # LARGE_FROM or more vertices has the same bytes at one and two threads.
+    src = str(Path(trapnets.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _GREEN_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
 class TestResistanceBetweenSets:
