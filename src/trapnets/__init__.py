@@ -15,7 +15,6 @@ from .networks import (
     add_unit_edges,
     boundary_resistance,
     build_network,
-    degree_marked_measure,
     effective_resistance,
     fuse,
     metric_entropy,
@@ -23,20 +22,15 @@ from .networks import (
 )
 from .measures import (
     DiscreteMeasure,
-    PointMeasure,
     Correspondence,
     dis_measure_distance,
     distortion,
     glue,
     hausdorff,
     local_hausdorff,
-    measure_map,
-    point_map,
-    pp_functionals,
     prohorov,
     prohorov_bruteforce,
     vague_distance,
-    vardom_distance,
 )
 from .rng import RngStream
 from .traps import (
@@ -47,7 +41,6 @@ from .traps import (
     sample_trap,
     scaling_constant,
     scaling_identity_residual,
-    trap_point_process,
     truncated_prm,
 )
 from .dynamics import (
@@ -57,7 +50,6 @@ from .dynamics import (
     aging_phi,
     exit_time_bound,
     exit_time_bound_check,
-    generator,
     return_probability_bounds_check,
     scaled_surface,
     simulate_path,

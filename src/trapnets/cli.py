@@ -34,20 +34,22 @@ def _cmd_generate(args) -> int:
         _write(args.out, serialize.network_to_json(g.network, coords=g.coords))
         return 0
     stream = RngStream(args.seed)
+    # Enumeration limits tilted trees to 8 vertices.
+    size = args.size if args.size is not None else 8 if args.ensemble == "tilted" else 10
     if args.ensemble == "path":
         law = ensembles.UniformConductanceLaw(args.cmin, args.cmax)
         g = ensembles.conductance_path(args.window, law, stream)
         _write(args.out, serialize.network_to_json(g.network, coords=g.coords))
     elif args.ensemble == "cayley":
         tree = ensembles.as_plane_tree(
-            ensembles.uniform_cayley_tree(args.size, stream), args.size)
+            ensembles.uniform_cayley_tree(size, stream), size)
         _write(args.out, serialize.network_to_json(tree.network()))
     elif args.ensemble == "tilted":
-        tree = ensembles.tilted_tree(args.size, args.p, stream.child(0))
+        tree = ensembles.tilted_tree(size, args.p, stream.child(0))
         net = ensembles.surplus_attachment(tree, args.p, stream.child(1))
         _write(args.out, serialize.network_to_json(net))
     elif args.ensemble == "er":
-        net = ensembles.er_largest_component(args.size, args.lam, stream)
+        net = ensembles.er_largest_component(size, args.lam, stream)
         _write(args.out, serialize.network_to_json(net))
     else:  # pragma: no cover - argparse restricts choices
         raise TrapnetsError(f"unknown ensemble {args.ensemble!r}")
@@ -160,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["sierpinski", "path", "cayley", "tilted", "er"])
     gen.add_argument("--level", type=int, default=2)
     gen.add_argument("--window", type=int, default=8)
-    gen.add_argument("--size", type=int, default=10)
+    gen.add_argument("--size", type=int,
+                     help="vertex count for cayley and tilted, n for er "
+                          "(default 10; 8 for tilted)")
     gen.add_argument("--p", type=float, default=0.3)
     gen.add_argument("--lam", type=float, default=0.0)
     gen.add_argument("--cmin", type=float, default=0.5)

@@ -391,10 +391,6 @@ def _lanczos(apply, v0: np.ndarray):
     return None
 
 
-def generator(net: ElectricalNetwork, nu: DiscreteMeasure) -> Generator:
-    return Generator(net, nu)
-
-
 @dataclass(frozen=True)
 class TransitionKernel:
     """Row-stochastic matrix P_t with access to the nu-density p(t, x, y)."""

@@ -307,36 +307,23 @@ def _plane_tree_areas(m: int) -> np.ndarray:
     return area
 
 
-def tilted_tree(m: int, p: float, rng_or_stream, method: str = "enumeration") -> PlaneTree:
+def tilted_tree(m: int, p: float, rng_or_stream) -> PlaneTree:
     """Labeled tree reweighted by (1 - p)^(-a(T)).
 
-    Enumeration is exact and limited to m <= 8; rejection proposes uniform
-    trees and accepts with probability (1 - p)^(a_max - a(T)).
+    Exact: every labeled tree on [m] is enumerated, which limits m to 8.
     """
     if not 0 < p < 1:
         raise TrapnetsError("p must lie in (0, 1)")
     if m < 1:
         raise TrapnetsError("tree size must be at least 1")
+    if m > 8:
+        raise TooLargeForEnumeration("enumeration supports m <= 8")
     rng = as_generator(rng_or_stream)
-    if method == "enumeration":
-        if m > 8:
-            raise TooLargeForEnumeration("enumeration supports m <= 8")
-        areas = _plane_tree_areas(m)
-        weights = (1.0 - p) ** (-areas.astype(float))
-        weights /= weights.sum()
-        k = int(rng.choice(len(areas), p=weights))
-        return as_plane_tree(prufer_decode(_prufer_code(k, m), m), m)
-    if method == "rejection":
-        if m <= 8:
-            a_max = int(_plane_tree_areas(m).max())
-        else:
-            a_max = (m - 1) * (m - 2) // 2
-        while True:
-            tree = as_plane_tree(uniform_cayley_tree(m, rng), m)
-            a = coding_functions(tree).area
-            if rng.random() < (1.0 - p) ** (a_max - a):
-                return tree
-    raise TrapnetsError(f"unknown method {method!r}")
+    areas = _plane_tree_areas(m)
+    weights = (1.0 - p) ** (-areas.astype(float))
+    weights /= weights.sum()
+    k = int(rng.choice(len(areas), p=weights))
+    return as_plane_tree(prufer_decode(_prufer_code(k, m), m), m)
 
 
 def binomial_pointset_under_walk(walk: np.ndarray, p: float, rng_or_stream) -> tuple:

@@ -114,6 +114,11 @@ class ExperimentConfig:
             raise ConfigError("s_grid times must be nonnegative")
         if config.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        if not all(r > 0 and u > 0 for r, u in config.boxes):
+            raise ConfigError(f"config key 'boxes' needs a positive radius and threshold u "
+                              f"in every box, got {list(map(list, config.boxes))}")
+        if config.bootstrap < 0:
+            raise ConfigError(f"config key 'bootstrap' must be >= 0, got {config.bootstrap}")
         return config
 
     def law(self) -> TrapLaw:

@@ -1,17 +1,20 @@
 """Metric structures for discrete measures on rooted finite carriers.
 
 Implements the Prohorov metric (exact, via a feasibility scan driven by
-bipartite max-flow), the root-localized vague metric, the point map that
-records atoms with their weights, the combined measure-and-atoms distance,
-restriction functionals of point measures, Hausdorff and local Hausdorff
-set distances, correspondence distortion with metric gluing, and a
-compact-convergence distance for partial maps with variable domains.
+bipartite max-flow), the root-localized vague metric, the combined
+measure-and-atoms distance, Hausdorff and local Hausdorff set distances,
+and correspondence distortion with metric gluing.
 
 A carrier is any object exposing ``root``, ``distance(p, q)``, the cross
 matrix ``distances(ps, qs)``, ``root_distance(p)`` and ``has_point(p)``;
-:class:`~trapnets.networks.FiniteMetricSpace` is the concrete finite case,
-and :class:`ProductCarrier` adjoins the log-metric weight axis used by point
-maps.
+:class:`~trapnets.networks.FiniteMetricSpace` is the concrete finite case.
+
+:class:`DiscreteMeasure` is the one measure type.  A point measure on
+S x (0, inf) is a :class:`DiscreteMeasure` on :class:`ProductCarrier` (S)
+whose atoms are ``(x, v)`` pairs, each carrying one unit of weight per
+point at that pair: the point map p(nu) of :func:`dis_measure_distance`
+and the Poisson random measure of :func:`~trapnets.traps.truncated_prm`
+both take this form.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class ProductCarrier:
     """
 
     def __init__(self, base):
+        if base is None:
+            raise CarrierMismatch("a product carrier needs a base carrier")
         self.base = base
         self.root = (base.root, 1.0)
 
@@ -85,60 +90,6 @@ class DiscreteMeasure:
         keep = {p: w for p, w in self.atoms.items()
                 if ball_mask(self.carrier.root_distance(p), r)}
         return DiscreteMeasure(self.carrier, keep)
-
-
-@dataclass(frozen=True)
-class PointMeasure:
-    """Finite multiset of (point, weight) or (point, mark, weight) atoms.
-
-    Multiplicity is encoded by repeating entries; every listed entry counts
-    once.  ``carrier`` may be None for measures used only through their
-    marks/weights (no ball restrictions).
-    """
-
-    carrier: object
-    atoms: tuple
-    marked: bool = False
-
-    def __post_init__(self):
-        width = 3 if self.marked else 2
-        for atom in self.atoms:
-            if len(atom) != width:
-                raise TrapnetsError("atom arity does not match marked flag")
-            if not atom[-1] > 0:
-                raise TrapnetsError("weight coordinates must be positive")
-            if self.marked and atom[1] < 0:
-                raise TrapnetsError("marks must be nonnegative")
-
-    def points(self) -> tuple:
-        return tuple(a[0] for a in self.atoms)
-
-    def weights(self) -> tuple:
-        return tuple(a[-1] for a in self.atoms)
-
-    def marks(self) -> tuple:
-        if not self.marked:
-            raise TrapnetsError("unmarked point measure has no marks")
-        return tuple(a[1] for a in self.atoms)
-
-    def restrict(self, r: float) -> "PointMeasure":
-        if self.carrier is None:
-            raise CarrierMismatch("point measure has no carrier to restrict over")
-        keep = tuple(a for a in self.atoms if ball_mask(self.carrier.root_distance(a[0]), r))
-        return PointMeasure(self.carrier, keep, self.marked)
-
-
-def point_map(nu: DiscreteMeasure) -> PointMeasure:
-    """p(nu): one unit atom (x_i, w_i) per atom of the measure."""
-    return PointMeasure(nu.carrier, tuple(nu.atoms.items()), marked=False)
-
-
-def measure_map(pi: PointMeasure) -> DiscreteMeasure:
-    """M(pi): collapse atoms back to a measure, summing weight per point."""
-    acc: dict = {}
-    for atom in pi.atoms:
-        acc[atom[0]] = acc.get(atom[0], 0.0) + atom[-1]
-    return DiscreteMeasure(pi.carrier, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +328,6 @@ def dis_measure_distance(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> float:
     return max(base, vague_distance(lifted1, lifted2))
 
 
-@dataclass(frozen=True)
-class PPFunctionals:
-    """Restriction functionals of a point measure over the root r-ball."""
-
-    weight_measure: dict     # weight value -> accumulated mass (m^(r))
-    small_mass: float        # M_eps^(r)
-    largest_weight: float    # W^(r)
-
-
-def pp_functionals(pi: PointMeasure, r: float, eps: float) -> PPFunctionals:
-    """m^(r) as a measure on weights, the small-atom mass, and the top weight."""
-    if not (r > 0 and eps > 0):
-        raise TrapnetsError("r and eps must be positive")
-    restricted = pi.restrict(r)
-    weight_measure: dict = {}
-    for atom in restricted.atoms:
-        v = atom[-1]
-        weight_measure[v] = weight_measure.get(v, 0.0) + v
-    small = sum(mass for v, mass in weight_measure.items() if v <= eps)
-    top = max((v for v in weight_measure), default=0.0)
-    return PPFunctionals(weight_measure, float(small), float(top))
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff distances
 # ---------------------------------------------------------------------------
@@ -491,34 +419,3 @@ def glue(corr: Correspondence, space_a: FiniteMetricSpace, space_b: FiniteMetric
     dist[na:, :na] = cross.T
     ids = tuple(("A", p) for p in space_a.point_ids) + tuple(("B", q) for q in space_b.point_ids)
     return FiniteMetricSpace(ids, dist, ("A", space_a.root))
-
-
-# ---------------------------------------------------------------------------
-# Partial maps with variable domains
-# ---------------------------------------------------------------------------
-
-def vardom_distance(f: dict, g: dict, domain_space, value_space) -> float:
-    """Distance between partial maps, clamped at 1.
-
-    The value is the least eps such that every graph point of one map has a
-    graph point of the other within eps in both the domain and the value
-    coordinate; empty-versus-nonempty clamps to 1, two empty maps are at 0.
-    """
-    if not f and not g:
-        return 0.0
-    if not f or not g:
-        return 1.0
-    for mapping in (f, g):
-        for x, val in mapping.items():
-            if not domain_space.has_point(x) or not value_space.has_point(val):
-                raise CarrierMismatch("partial map leaves the given carriers")
-
-    def one_side(src: dict, dst: dict) -> float:
-        worst = 0.0
-        for x, fx in src.items():
-            best = min(max(domain_space.distance(x, y), value_space.distance(fx, gy))
-                       for y, gy in dst.items())
-            worst = max(worst, best)
-        return worst
-
-    return min(max(one_side(f, g), one_side(g, f)), 1.0)

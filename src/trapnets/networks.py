@@ -480,17 +480,3 @@ def add_unit_edges(net: ElectricalNetwork, pairs: Sequence) -> ElectricalNetwork
         store = (u, v) if (v, u) not in cond else (v, u)
         cond[store] = cond.get(store, 0.0) + 1.0
     return ElectricalNetwork(net.vertex_ids, cond, net.root)
-
-
-def degree_marked_measure(net: ElectricalNetwork, with_carrier: bool = False):
-    """One unit atom (x, mu(x)) per vertex: the mark map pushforward of counting.
-
-    Pass ``with_carrier=True`` to attach the resistance metric space (needed
-    by the ball-restriction functionals); it is skipped by default because it
-    triggers the all-pairs resistance computation.
-    """
-    from .measures import PointMeasure
-
-    atoms = tuple((v, net.total_conductance(v), 1.0) for v in net.vertex_ids)
-    carrier = net.resistance_space if with_carrier else None
-    return PointMeasure(carrier=carrier, atoms=atoms, marked=True)

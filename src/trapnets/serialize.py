@@ -1,8 +1,15 @@
-"""File formats: network JSON, measure JSON, trap-environment JSON, CSV tables.
+"""File formats that the command line reads or writes.
 
-Network files round-trip bit-exactly: floats are emitted with Python's
-shortest round-trip repr.  Trap weights are written as decimal strings with
-17 significant digits; distances and table values use 15 significant digits.
+- Network JSON, written by ``generate`` and read by every command that takes
+  ``--net``.  It round-trips bit-exactly: floats are emitted with Python's
+  shortest round-trip repr.
+- Measure JSON, read by ``metrics``: a list of ``{"point": p, "weight": w}``
+  rows.
+- Trap-environment JSON, written by ``traps``: the network, the trap weights
+  as decimal strings with 17 significant digits (enough to come back
+  exactly), the scaling triple and the seed.
+- CSV tables (kernels, paths, two-point surfaces, experiment results), with
+  15 significant digits.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import json
 from .errors import TrapnetsError
 from .measures import DiscreteMeasure
 from .networks import ElectricalNetwork, build_network
-from .traps import ScaleTriple, TrapEnvironment
+from .traps import TrapEnvironment
 
 
 def network_to_json(net: ElectricalNetwork, coords: dict | None = None) -> str:
@@ -48,13 +55,6 @@ def network_from_json(text: str) -> ElectricalNetwork:
         raise TrapnetsError(f"network JSON missing field {exc}") from exc
 
 
-def measure_to_json(measure: DiscreteMeasure) -> str:
-    if not isinstance(measure, DiscreteMeasure):
-        raise TrapnetsError("only discrete measures have a JSON format")
-    rows = [{"point": p, "weight": w} for p, w in measure.atoms.items()]
-    return json.dumps(rows, separators=(",", ":"))
-
-
 def discrete_measure_from_json(text: str, carrier) -> DiscreteMeasure:
     """Measure from a list of {"point": p, "weight": w} rows; repeated points add up.
 
@@ -84,15 +84,6 @@ def environment_to_json(env: TrapEnvironment, seed: int | None = None) -> str:
         "seed": seed,
     }
     return json.dumps(payload, separators=(",", ":"))
-
-
-def environment_from_json(text: str, carrier=None) -> TrapEnvironment:
-    payload = load_json(text, "trap environment")
-    net = network_from_json(json.dumps(payload["network"]))
-    atoms = {int(v): float(w) for v, w in payload["weights"].items()}
-    nu = DiscreteMeasure(carrier, atoms)
-    a, b, c = payload["scale"]
-    return TrapEnvironment(net, nu, ScaleTriple(a, b, c))
 
 
 def format_value(x: float) -> str:

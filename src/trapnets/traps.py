@@ -1,10 +1,17 @@
-"""Heavy-tailed trap environments and their scaling constants.
+"""Heavy-tailed trap environments, their scaling constants, and the
+truncated Poisson random measure of the limit trap point process.
 
 The trap law is an exact Pareto tail: P(xi > u) = (u / u_min)^(-alpha) for
 u >= u_min with alpha in (0, 1).  For this law the mass scaling constant
 c(b) = u_min * b^(1/alpha) turns the tail identity
 b * P(xi / c > u) = u^(-alpha) into an exact finite-size statement rather
 than a limit, which the test-suite exploits.
+
+The truncated Poisson random measure is a point measure on S x (0, inf).
+Like every point measure in the package it is a
+:class:`~trapnets.measures.DiscreteMeasure` on a
+:class:`~trapnets.measures.ProductCarrier`, the form the point map takes in
+:func:`~trapnets.measures.dis_measure_distance`.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidScale, InvalidTruncation, TrapnetsError
-from .measures import DiscreteMeasure, PointMeasure
+from .measures import DiscreteMeasure, ProductCarrier
 from .networks import ElectricalNetwork
 from .rng import as_generator
 
@@ -95,9 +102,9 @@ class TrapEnvironment:
 
     @cached_property
     def generator(self):
-        from .dynamics import generator
+        from .dynamics import Generator
 
-        return generator(self.network, self.nu)
+        return Generator(self.network, self.nu)
 
     def trap(self, v) -> float:
         return self.nu.atoms[v]
@@ -119,42 +126,31 @@ def make_environment(net: ElectricalNetwork, law: TrapLaw, a: float, b: float,
     return TrapEnvironment(net, nu, ScaleTriple(a, b, scaling_constant(law, b)))
 
 
-def trap_point_process(env: TrapEnvironment):
-    """The rescaled trap point process and its conductance-marked variant.
-
-    Returns (pi, pi_marked): one atom per vertex at weight nu({x}) / c, with
-    the marked variant carrying the total conductance mu(x).
-    """
-    c = env.scale.c
-    carrier = env.nu.carrier
-    plain = tuple((v, env.trap(v) / c) for v in env.network.vertex_ids)
-    marked = tuple((v, env.network.total_conductance(v), env.trap(v) / c)
-                   for v in env.network.vertex_ids)
-    return (PointMeasure(carrier, plain, marked=False),
-            PointMeasure(carrier, marked, marked=True))
-
-
 def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
-                  rng_or_stream) -> PointMeasure:
+                  rng_or_stream) -> DiscreteMeasure:
     """Poisson random measure with intensity base(dx) * alpha v^(-1-alpha) dv,
     truncated to weights v >= v_floor.
 
     Per atom x of the base measure, the atom count is
     Poisson(base({x}) * v_floor^(-alpha)) and each weight is an independent
     v_floor * U^(-1/alpha) draw, so voids over A x (u, inf) have probability
-    exp(-base(A) u^(-alpha)) exactly for every u >= v_floor.
+    exp(-base(A) u^(-alpha)) exactly for every u >= v_floor.  The result
+    lives on ``ProductCarrier(base.carrier)`` with one unit of weight per
+    draw at each (x, v), so ``total()`` counts the draws.
     """
     if not v_floor > 0:
         raise InvalidTruncation("v_floor must be positive")
     if not 0.0 < alpha < 1.0:
         raise TrapnetsError("alpha must lie in (0, 1)")
+    carrier = ProductCarrier(base.carrier)
     rng = as_generator(rng_or_stream)
     rate = v_floor ** (-alpha)
-    atoms = []
+    atoms: dict = {}
     for p, mass in base.atoms.items():
         count = int(rng.poisson(mass * rate))
         if count:
             u = 1.0 - rng.random(count)
             for v in v_floor * u ** (-1.0 / alpha):
-                atoms.append((p, float(v)))
-    return PointMeasure(base.carrier, tuple(atoms), marked=False)
+                atom = (p, float(v))
+                atoms[atom] = atoms.get(atom, 0.0) + 1.0
+    return DiscreteMeasure(carrier, atoms)

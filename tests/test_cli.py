@@ -13,9 +13,7 @@ from trapnets.experiments import ExperimentConfig, run_two_point_experiment
 from trapnets.rng import RngStream
 from trapnets.serialize import (
     discrete_measure_from_json,
-    environment_from_json,
     environment_to_json,
-    measure_to_json,
     network_from_json,
     network_to_json,
 )
@@ -74,6 +72,12 @@ class TestGenerate:
                     frontier.append(w)
         assert reached == set(range(1, 13))
 
+    @pytest.mark.parametrize("ensemble", ["sierpinski", "path", "cayley", "tilted", "er"])
+    def test_every_ensemble_runs_at_its_defaults(self, tmp_path, ensemble):
+        out = tmp_path / "net.json"
+        assert main(["generate", "--ensemble", ensemble, "--seed", "1", "--out", str(out)]) == 0
+        assert network_from_json(out.read_text()).n_vertices >= 1
+
     def test_tilted_draws_tree_and_surplus_from_child_streams(self, tmp_path):
         out = tmp_path / "tilted.json"
         assert main(["generate", "--ensemble", "tilted", "--size", "8", "--p", "0.5",
@@ -97,10 +101,11 @@ class TestRoundTrips:
 
         net = network_from_json(gasket_file.read_text())
         env = make_environment(net, TrapLaw(0.5), 1.0, 9.0, RngStream(5))
-        text = environment_to_json(env, seed=5)
-        back = environment_from_json(text)
-        assert back.nu.atoms == env.nu.atoms
-        assert back.scale == env.scale
+        payload = json.loads(environment_to_json(env, seed=5))
+        assert network_from_json(json.dumps(payload["network"])).edges() == net.edges()
+        assert {int(v): float(w) for v, w in payload["weights"].items()} == env.nu.atoms
+        assert payload["scale"] == [env.scale.a, env.scale.b, env.scale.c]
+        assert payload["seed"] == 5
 
     def test_measure_round_trip(self, gasket_file):
         net = network_from_json(gasket_file.read_text())
@@ -108,7 +113,7 @@ class TestRoundTrips:
         from trapnets.measures import DiscreteMeasure
 
         mu = DiscreteMeasure(space, {0: 1.5, 3: 0.25})
-        text = measure_to_json(mu)
+        text = json.dumps([{"point": p, "weight": w} for p, w in mu.atoms.items()])
         back = discrete_measure_from_json(text, space)
         assert back.atoms == mu.atoms
 
@@ -180,14 +185,10 @@ class TestResistanceCommand:
 
 class TestMetricsCommand:
     def test_distances_printed(self, capsys, tmp_path, gasket_file):
-        net = network_from_json(gasket_file.read_text())
-        from trapnets.measures import DiscreteMeasure
-
-        space = net.resistance_space
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text(measure_to_json(DiscreteMeasure(space, {0: 1.0})))
-        b.write_text(measure_to_json(DiscreteMeasure(space, {0: 2.0})))
+        a.write_text(json.dumps([{"point": 0, "weight": 1.0}]))
+        b.write_text(json.dumps([{"point": 0, "weight": 2.0}]))
         code, out, _ = run_cli(capsys, "metrics", "--net", str(gasket_file),
                                "--measure-a", str(a), "--measure-b", str(b))
         assert code == 0
@@ -240,6 +241,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("t_grid", [-1.0]), ("workers", 0), ("levels", [1.5, 2]),
+        ("boxes", [[1.0, 0.0]]), ("boxes", [[1.0, -0.5]]), ("boxes", [[0.0, 1.0]]),
+        ("bootstrap", -3),
         # A field of None writes the value as the whole file.
         pytest.param(None, "[1, 2]", id="not-an-object"),
         pytest.param(None, '{"ensemble": ', id="truncated"),

@@ -8,12 +8,12 @@ import scipy.linalg
 
 from trapnets import dynamics
 from trapnets import (
+    Generator,
     TrapLaw,
     aging_phi,
     build_network,
     exit_time_bound,
     exit_time_bound_check,
-    generator,
     make_environment,
     return_probability_bounds_check,
     scaled_surface,
@@ -54,7 +54,7 @@ class TestGenerator:
 
     def test_uniform_trap_is_simple_walk(self, unit_path3):
         nu = DiscreteMeasure(None, {1: 1.0, 2: 1.0, 3: 1.0})
-        q = generator(unit_path3, nu).matrix
+        q = Generator(unit_path3, nu).matrix
         assert q[0, 1] == 1.0 and q[1, 0] == 1.0 and q[1, 2] == 1.0
 
     def test_detailed_balance(self):
@@ -69,7 +69,7 @@ class TestGenerator:
 
     def test_support_mismatch(self, unit_path3):
         with pytest.raises(SupportMismatch):
-            generator(unit_path3, DiscreteMeasure(None, {1: 1.0, 2: 1.0}))
+            Generator(unit_path3, DiscreteMeasure(None, {1: 1.0, 2: 1.0}))
 
 
 class TestTransitionKernel:
@@ -474,7 +474,7 @@ class TestJumpChainEdges:
                 return 1.0 - 2.0 ** -53
 
         net = build_network(list(range(11)), [(0, k, 1.0) for k in range(1, 11)], root=0)
-        gen = generator(net, DiscreteMeasure(None, {v: 1.0 for v in range(11)}))
+        gen = Generator(net, DiscreteMeasure(None, {v: 1.0 for v in range(11)}))
         path = simulate_path(gen, 0, 1.2, Draws())
         assert path.states == (0, 10, 0, 10, 0, 10)
 
@@ -712,7 +712,7 @@ class TestTruncatedKernels:
             return theta[:len(theta) - drop], vecs[:, :len(theta) - drop]
 
         monkeypatch.setattr(dynamics, "_lanczos", missing_top)
-        gen = generator(level5, self.symmetric_nu(level5, kind))
+        gen = Generator(level5, self.symmetric_nu(level5, kind))
         nu, root = gen.nu_values, level5.root
         t_min, eigvals = gen._slow_modes[:2]
         found = -1.0 / eigvals[:-1]
@@ -737,7 +737,7 @@ class TestTruncatedKernels:
         env = self.env(level5, 0.5, 0)
         atoms = dict(env.nu.atoms)
         atoms[sierpinski(5).corners[1]] *= 1e12
-        gen = generator(level5, DiscreteMeasure(None, atoms))
+        gen = Generator(level5, DiscreteMeasure(None, atoms))
         t_min = gen._slow_modes[0]
         assert t_min <= 2 * env.generator._slow_modes[0]
         for t in (t_min, 2 * t_min):
@@ -790,16 +790,16 @@ class TestTruncatedKernels:
     def test_values_do_not_depend_on_earlier_calls(self, level5, share):
         env = self.env(level5, 0.5, 1)
         t = share * env.scale.a * env.scale.c
-        late = generator(level5, env.nu)
+        late = Generator(level5, env.nu)
         late.kernel_row(level5.root, 2 * t)
-        fresh = generator(level5, env.nu)
+        fresh = Generator(level5, env.nu)
         assert np.array_equal(late.kernel_row(level5.root, t), fresh.kernel_row(level5.root, t))
         assert np.array_equal(late.kernel_diagonal(t), fresh.kernel_diagonal(t))
 
     def test_fresh_generators_are_bit_identical(self, level5):
         env = self.env(level5, 0.5, 0)
         t = env.scale.a * env.scale.c
-        one, two = generator(level5, env.nu), generator(level5, env.nu)
+        one, two = Generator(level5, env.nu), Generator(level5, env.nu)
         assert np.array_equal(one.kernel_row(level5.root, t), two.kernel_row(level5.root, t))
         assert np.array_equal(one.kernel_diagonal(t), two.kernel_diagonal(t))
         assert np.array_equal(one.kernel_matrix(t), two.kernel_matrix(t))

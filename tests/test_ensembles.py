@@ -181,71 +181,55 @@ class TestCodingFunctions:
             assert cd.area == integral == float(cd.walk[1:m].sum())
 
 
-def tilted_law_m3(p):
-    """Exact tilted probabilities for the three labeled trees on [3]."""
-    trees = [[(1, 2), (2, 3)], [(1, 2), (1, 3)], [(1, 3), (2, 3)]]
-    weights = []
-    for edges in trees:
-        a = coding_functions(as_plane_tree(edges, 3)).area
-        weights.append((1.0 - p) ** (-a))
+def tilted_law(m, p):
+    """Exact tilted probabilities (1 - p)^(-a(T)) / Z of the labeled trees on
+    [m], keyed by edge set, with a(T) from the coding functions."""
+    trees = [prufer_decode(code, m) for code in itertools.product(range(1, m + 1), repeat=m - 2)]
+    weights = [(1.0 - p) ** (-coding_functions(as_plane_tree(edges, m)).area) for edges in trees]
     z = sum(weights)
     return {edge_set(t): w / z for t, w in zip(trees, weights)}
+
+
+def tilted_counts(m, p, stream, n):
+    """Edge sets of n tilted trees on [m], drawn from stream.child(k)."""
+    counts = Counter()
+    for k in range(n):
+        tree = tilted_tree(m, p, stream.child(k))
+        counts[edge_set((tree.labels[tree.parent[i]], tree.labels[i]) for i in range(1, m))] += 1
+    return counts
 
 
 class TestTiltedTree:
     def test_m3_enumerated_probabilities(self):
         p = 0.4
-        law = tilted_law_m3(p)
+        law = tilted_law(3, p)
         star = edge_set([(1, 2), (1, 3)])
         assert law[star] == pytest.approx((1 - p) ** -1 / (2 + (1 - p) ** -1))
-        counts = Counter()
-        stream = RngStream(10)
         n = 20_000
-        for k in range(n):
-            tree = tilted_tree(3, p, stream.child(k))
-            edges = [(tree.labels[tree.parent[i]], tree.labels[i]) for i in range(1, 3)]
-            counts[edge_set(edges)] += 1
+        counts = tilted_counts(3, p, RngStream(10), n)
         chi = sum((counts[t] - n * q) ** 2 / (n * q) for t, q in law.items())
         assert stats.chi2.sf(chi, 2) > 0.01
 
     def test_p_to_zero_recovers_uniform(self):
-        counts = Counter()
-        stream = RngStream(11)
         n = 15_000
-        for k in range(n):
-            tree = tilted_tree(3, 1e-9, stream.child(k))
-            edges = [(tree.labels[tree.parent[i]], tree.labels[i]) for i in range(1, 3)]
-            counts[edge_set(edges)] += 1
+        counts = tilted_counts(3, 1e-9, RngStream(11), n)
         chi = sum((c - n / 3) ** 2 / (n / 3) for c in counts.values())
         assert stats.chi2.sf(chi, 2) > 0.01
 
-    def test_m4_rejection_matches_enumeration(self):
+    def test_m4_enumerated_probabilities(self):
+        # All 16 labeled trees on [4] against their exact tilted weights.
         p = 0.3
-        stream = RngStream(12)
+        law = tilted_law(4, p)
+        assert len(law) == 16
         n = 20_000
-        counts_enum = Counter()
-        counts_rej = Counter()
-        for k in range(n):
-            t1 = tilted_tree(4, p, stream.child(0, k), method="enumeration")
-            t2 = tilted_tree(4, p, stream.child(1, k), method="rejection")
-            counts_enum[t1.labels] += 1
-            counts_rej[t2.labels] += 1
-        # chi-square homogeneity between the two samplers over observed trees
-        keys = sorted(set(counts_enum) | set(counts_rej))
-        chi = 0.0
-        dof = 0
-        for key in keys:
-            a, b = counts_enum[key], counts_rej[key]
-            tot = a + b
-            if tot < 10:
-                continue
-            chi += (a - tot / 2) ** 2 / (tot / 2) + (b - tot / 2) ** 2 / (tot / 2)
-            dof += 1
-        assert stats.chi2.sf(chi, dof) > 0.01
+        counts = tilted_counts(4, p, RngStream(12), n)
+        assert set(counts) <= set(law)
+        chi = sum((counts[t] - n * q) ** 2 / (n * q) for t, q in law.items())
+        assert stats.chi2.sf(chi, len(law) - 1) > 0.01
 
     def test_enumeration_limit(self):
         with pytest.raises(TooLargeForEnumeration):
-            tilted_tree(9, 0.5, RngStream(13), method="enumeration")
+            tilted_tree(9, 0.5, RngStream(13))
 
 
 class TestSurplusAttachment:
@@ -385,13 +369,3 @@ class TestPointsetAndMarkers:
         assert attachment_markers(walk, [(2, 1)]) == [(2, 3)]
         with pytest.raises(Exception):
             attachment_markers(walk, [(0, 0)])  # not under the walk
-
-    def test_gasket_degree_marks(self):
-        from trapnets import degree_marked_measure
-
-        g = sierpinski(3)
-        marked = degree_marked_measure(g.network)
-        corners = set(g.corners)
-        for point, mark, weight in marked.atoms:
-            assert weight == 1.0
-            assert mark == (2.0 if point in corners else 4.0)

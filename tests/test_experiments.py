@@ -57,6 +57,8 @@ class TestConfig:
         ("t_grid", 2), ("s_grid", ["1"]), ("alpha", "0.5"), ("seed", "3"),
         ("replicas", 2.7), ("replicas", True), ("workers", 1.0), ("bootstrap", None),
         ("boxes", [[1.0]]), ("boxes", 1.0), ("path_bounds", [0.5]),
+        ("boxes", [[1.0, 0.0]]), ("boxes", [[1.0, -0.5]]), ("boxes", [[0.0, 1.0]]),
+        ("boxes", [[0.5, 1.0], [-1.0, 1.0]]), ("bootstrap", -3),
     ])
     def test_malformed_values_rejected_by_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -173,8 +175,9 @@ class TestTrapConvergence:
         assert prm and all(p > 0.01 for p in prm)
 
     def test_empty_box_void_probability_one(self):
-        # A radius-zero box has no vertices, so the void event is certain.
-        cfg = gasket_config(levels=[1], replicas=50, boxes=((0.0, 1.0),))
+        # A radius inside the ball's snap width leaves even the root on the
+        # sphere: the box has no vertices, so the void event is certain.
+        cfg = gasket_config(levels=[1], replicas=50, boxes=((1e-13, 1.0),))
         table = run_trap_convergence(cfg)
         rows = table.select("pi_void_empirical")
         assert rows and all(r.value == 1.0 for r in rows)

@@ -7,19 +7,14 @@ import pytest
 from trapnets import (
     Correspondence,
     DiscreteMeasure,
-    PointMeasure,
     dis_measure_distance,
     distortion,
     glue,
     hausdorff,
     local_hausdorff,
-    measure_map,
-    point_map,
-    pp_functionals,
     prohorov,
     prohorov_bruteforce,
     vague_distance,
-    vardom_distance,
 )
 from trapnets.errors import CarrierMismatch, NotACorrespondence, TrapnetsError
 from trapnets.measures import ProductCarrier, _max_bipartite_flow
@@ -206,6 +201,10 @@ class TestCarrierDistances:
                 assert all(d[i, j] == carrier.distance(x, y)
                            for i, x in enumerate(a) for j, y in enumerate(b))
 
+    def test_product_needs_a_base_carrier(self):
+        with pytest.raises(CarrierMismatch):
+            ProductCarrier(None)
+
 
 class TestRestrict:
     def test_identity_beyond_diameter(self):
@@ -252,31 +251,6 @@ class TestVagueDistance:
         assert vague_distance(mu, nu) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
-class TestPointAndMeasureMaps:
-    def test_point_map_merges_nothing(self):
-        space = line_space([0.0, 1.0])
-        nu = DiscreteMeasure(space, {0: 2.0})
-        assert point_map(nu).atoms == ((0, 2.0),)
-
-    def test_point_map_two_atoms(self):
-        space = line_space([0.0, 1.0])
-        nu = DiscreteMeasure(space, {0: 1.0, 1: 3.0})
-        assert set(point_map(nu).atoms) == {(0, 1.0), (1, 3.0)}
-
-    def test_measure_map_multiplicity(self):
-        space = line_space([0.0])
-        pi = PointMeasure(space, ((0, 1.0), (0, 1.0)))
-        assert measure_map(pi).atoms == {0: 2.0}
-
-    def test_round_trip(self):
-        rng = RngStream(33).generator()
-        space = random_connected_network(9, rng).resistance_space
-        for _ in range(100):
-            mu, _ = random_measure_pair(space, rng, 6)
-            back = measure_map(point_map(mu))
-            assert back.atoms == mu.atoms
-
-
 class TestDisMeasureDistance:
     def test_identity(self):
         space = line_space([0.0, 1.0])
@@ -305,54 +279,6 @@ class TestDisMeasureDistance:
         product = ProductCarrier(space)
         assert product.distance((0, 1.0), (0, math.e)) == pytest.approx(1.0, abs=1e-12)
         assert product.distance((0, 2.0), (0, 2.0 * math.e)) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPPFunctionals:
-    def test_basic(self):
-        space = line_space([0.0, 1.0])
-        pi = PointMeasure(space, ((0, 0.5), (1, 3.0)))
-        res = pp_functionals(pi, r=5.0, eps=1.0)
-        assert res.largest_weight == 3.0
-        assert res.small_mass == 0.5
-        assert res.weight_measure == {0.5: 0.5, 3.0: 3.0}
-
-    def test_eps_above_all_weights(self):
-        space = line_space([0.0, 1.0])
-        pi = PointMeasure(space, ((0, 0.5), (1, 3.0)))
-        res = pp_functionals(pi, r=5.0, eps=10.0)
-        assert res.small_mass == pytest.approx(3.5)
-
-    def test_empty_restriction(self):
-        space = line_space([0.0, 4.0])
-        pi = PointMeasure(space, ((1, 2.0),))
-        res = pp_functionals(pi, r=1.0, eps=1.0)
-        assert res.small_mass == 0.0 and res.largest_weight == 0.0
-
-    def test_monotone_in_eps_and_r(self):
-        rng = RngStream(34).generator()
-        space = random_connected_network(8, rng).resistance_space
-        mu, _ = random_measure_pair(space, rng, 6)
-        pi = point_map(mu)
-        rs = [0.3, 0.8, 1.5, 4.0]
-        epss = [0.1, 0.5, 1.0, 3.0]
-        values = {(r, e): pp_functionals(pi, r, e).small_mass for r in rs for e in epss}
-        for r in rs:
-            for e1, e2 in zip(epss, epss[1:]):
-                assert values[(r, e1)] <= values[(r, e2)] + 1e-12
-        for e in epss:
-            for r1, r2 in zip(rs, rs[1:]):
-                assert values[(r1, e)] <= values[(r2, e)] + 1e-12
-
-    def test_top_weight_below_restricted_mass(self):
-        rng = RngStream(35).generator()
-        space = random_connected_network(8, rng).resistance_space
-        for _ in range(20):
-            mu, _ = random_measure_pair(space, rng, 6)
-            pi = point_map(mu)
-            r = float(rng.uniform(0.2, 3.0))
-            res = pp_functionals(pi, r, 1.0)
-            restricted_mass = measure_map(pi.restrict(r)).total() if pi.restrict(r).atoms else 0.0
-            assert res.largest_weight <= restricted_mass + 1e-12
 
 
 class TestHausdorff:
@@ -415,30 +341,6 @@ class TestDistortionGlue:
         b = line_space([0.0])
         with pytest.raises(NotACorrespondence):
             distortion(Correspondence.of([(0, 0)]), a, b)
-
-
-class TestVardomDistance:
-    def test_equal_maps(self):
-        m = line_space([0.0, 1.0])
-        xi = line_space([0.0, 2.0])
-        f = {0: 0, 1: 1}
-        assert vardom_distance(f, dict(f), m, xi) == 0.0
-
-    def test_both_empty(self):
-        m = line_space([0.0])
-        assert vardom_distance({}, {}, m, m) == 0.0
-
-    def test_one_empty_clamps(self):
-        m = line_space([0.0])
-        assert vardom_distance({0: 0}, {}, m, m) == 1.0
-
-    def test_singleton_domains(self):
-        m = line_space([0.0, 0.3])
-        xi = line_space([0.0, 0.8])
-        f = {0: 0}
-        g = {1: 1}
-        expected = min(max(0.3, 0.8), 1.0)
-        assert vardom_distance(f, g, m, xi) == pytest.approx(expected, abs=1e-15)
 
 
 class TestAtomPairingCharacterization:

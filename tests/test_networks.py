@@ -14,7 +14,6 @@ from trapnets import (
     add_unit_edges,
     boundary_resistance,
     build_network,
-    degree_marked_measure,
     effective_resistance,
     fuse,
     metric_entropy,
@@ -375,26 +374,6 @@ class TestAddUnitEdges:
             add_unit_edges(unit_path3, [(1, 2), (2, 1)])
         with pytest.raises(UnknownVertex):
             add_unit_edges(unit_path3, [(1, 9)])
-
-
-class TestDegreeMarkedMeasure:
-    def test_path_marks(self, unit_path3):
-        marked = degree_marked_measure(unit_path3)
-        assert set(marked.atoms) == {(1, 1.0, 1.0), (2, 2.0, 1.0), (3, 1.0, 1.0)}
-
-    def test_single_edge_marks_equal_conductance(self):
-        net = build_network([0, 1], [(0, 1, 2.5)], root=0)
-        marked = degree_marked_measure(net)
-        assert marked.marks() == (2.5, 2.5)
-
-    def test_marginal_is_counting(self, unit_triangle):
-        from trapnets import measure_map
-
-        marked = degree_marked_measure(unit_triangle, with_carrier=True)
-        plain = marked.atoms
-        unmarked = type(marked)(marked.carrier, tuple((a[0], a[2]) for a in plain))
-        collapsed = measure_map(unmarked)
-        assert collapsed.atoms == {1: 1.0, 2: 1.0, 3: 1.0}
 
 
 class TestRandomSuite:

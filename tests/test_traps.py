@@ -7,13 +7,10 @@ from scipy import stats
 from trapnets import (
     TrapLaw,
     build_network,
-    make_environment,
-    measure_map,
     pareto_sample,
     sample_trap,
     scaling_constant,
     scaling_identity_residual,
-    trap_point_process,
     truncated_prm,
 )
 from trapnets.errors import InvalidScale, InvalidTruncation, TrapnetsError
@@ -100,30 +97,6 @@ class TestSampleTrap:
         assert all(w >= 2.0 for w in nu.atoms.values())
 
 
-class TestTrapPointProcess:
-    def test_measure_map_recovers_rescaled_trap(self, unit_path3):
-        env = make_environment(unit_path3, TrapLaw(0.5), 2.0, 9.0, RngStream(46))
-        pi, pi_dot = trap_point_process(env)
-        collapsed = measure_map(pi)
-        for v in unit_path3.vertex_ids:
-            assert collapsed.atoms[v] == pytest.approx(env.trap(v) / env.scale.c, rel=1e-15)
-
-    def test_marks_equal_total_conductance(self, unit_path3):
-        from trapnets import degree_marked_measure
-
-        env = make_environment(unit_path3, TrapLaw(0.5), 2.0, 9.0, RngStream(47))
-        _, pi_dot = trap_point_process(env)
-        degree_marks = dict(zip((a[0] for a in degree_marked_measure(unit_path3).atoms),
-                                degree_marked_measure(unit_path3).marks()))
-        for v, mark, _ in pi_dot.atoms:
-            assert mark == degree_marks[v]
-
-    def test_atom_count(self, unit_triangle):
-        env = make_environment(unit_triangle, TrapLaw(0.5), 1.0, 4.0, RngStream(48))
-        pi, pi_dot = trap_point_process(env)
-        assert len(pi.atoms) == 3 and len(pi_dot.atoms) == 3
-
-
 class TestTruncatedPRM:
     def test_expected_atom_count(self):
         space = line_space([0.0, 1.0])
@@ -131,7 +104,7 @@ class TestTruncatedPRM:
         alpha, v_floor = 0.5, 0.25
         reps = 4000
         stream = RngStream(49)
-        counts = [len(truncated_prm(base, alpha, v_floor, stream.child(k)).atoms)
+        counts = [truncated_prm(base, alpha, v_floor, stream.child(k)).total()
                   for k in range(reps)]
         lam = base.total() * v_floor ** -alpha
         sigma = math.sqrt(lam / reps)
@@ -162,6 +135,7 @@ class TestTruncatedPRM:
         space = line_space([0.0])
         base = DiscreteMeasure(space, {0: 0.01})
         pi = truncated_prm(base, 0.5, 5.0, RngStream(51))
+        assert pi.carrier.base is space
         assert all(w >= 5.0 for _, w in pi.atoms)
 
     def test_invalid_floor(self):
@@ -195,27 +169,26 @@ class TestPiVoidProbabilities:
 
 class TestSmallMassExpectationDirection:
     def test_bound_and_gap_decrease(self):
-        # E[M_eps^(r)(pi_n)] stays below (alpha/(1-alpha)) mass eps^(1-alpha)
+        # E[M_eps(pi_n)] stays below (alpha/(1-alpha)) mass eps^(1-alpha)
         # c_n^(-alpha) ... for the exact Pareto law the bound holds at every n
-        # and the gap to it shrinks along the level sequence.
-        from trapnets import pp_functionals, sierpinski
-        from trapnets.measures import PointMeasure
+        # and the gap to it shrinks along the level sequence.  M_eps is the
+        # total of the rescaled trap weights at most eps, over the whole
+        # gasket.
+        from trapnets import sierpinski
 
         law = TrapLaw(0.5)
-        eps, r = 0.5, 1.0e9  # r beyond every diameter: whole space
+        eps = 0.5
         reps = 300
         gaps = []
         for n in (1, 2, 3):
             g = sierpinski(n)
-            space = g.network.resistance_space
             b = 3.0 ** n
             c = scaling_constant(law, b)
             rng = RngStream(54).child(n).generator()
             m_vals = []
             for _ in range(reps):
                 weights = law.quantile(1.0 - rng.random(g.network.n_vertices)) / c
-                pi = PointMeasure(space, tuple(zip(g.network.vertex_ids, map(float, weights))))
-                m_vals.append(pp_functionals(pi, r, eps).small_mass)
+                m_vals.append(float(weights[weights <= eps].sum()))
             bound = (law.alpha / (1 - law.alpha)) * g.network.n_vertices \
                 * eps ** (1 - law.alpha) * c ** -law.alpha
             mean = float(np.mean(m_vals))
