@@ -2,11 +2,11 @@
 
 The chain jumps from x to y at rate mu(x, y) / nu({x}); its speed measure is
 the trap measure nu, so conductance symmetry gives detailed balance and the
-nu^(1/2)-conjugated generator is symmetric.  Transition kernels are sums over
-eigenmodes, taken from one of two operators chosen per call (see
-:class:`Generator`): the symmetrized generator at short times, and the
+nu^(1/2)-conjugated generator is symmetric.  Transition kernels come from one
+of two computations chosen per call (see :class:`Generator`): the matrix
+exponential of the rate matrix at short times, and the eigenmodes of the
 Green's operator at long times, where only the slow modes survive.  A call
-that neither operator serves within its error bound raises
+that its computation does not serve within its error bound raises
 :class:`NumericalFailure`.  Network size (``networks.LARGE_FROM``) picks how
 the Green's operator is computed: from ``LARGE_FROM`` vertices on, the
 grounded inverse comes from a sparse LU factorization and the slow modes
@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     NonpositiveTime,
@@ -92,39 +93,33 @@ class _GreenModes(NamedTuple):
 
 
 class Generator:
-    """Rate matrix q(x, y) = mu(x, y) / nu({x}) with its spectral data.
+    """Rate matrix q(x, y) = mu(x, y) / nu({x}) with its transition kernels.
 
-    Kernels at time t are sums of exp(-lambda_k t) over the eigenmodes of the
-    symmetrized generator S = D^(1/2) Q D^(-1/2) (D = diag(nu)), taken from
-    one of two operators:
+    Kernels at time t come from one of two computations:
 
-    - The generator: one dense eigendecomposition of S.  Rounding moves each
-      eigenvalue by about eps |S|, so the first-order model of a kernel at
-      time t is eps |S| t, with |S| bounded by Gershgorin's row sums.  Only
-      this operator is right at short times.
+    - Short times: exp(Q t) by scaling and squaring (``scipy.linalg.expm``;
+      Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).  Its first-order
+      rounding model is eps |S| t, with |S| Gershgorin's bound on the
+      symmetrized generator S = D^(1/2) Q D^(-1/2) (D = diag(nu)).
     - The Green's operator M = P D^(1/2) G D^(1/2) P (G the inverse of the
       Laplacian grounded at the heaviest trap, P the projection off
-      sqrt(nu)), whose eigenvalues are theta = 1/lambda.  Its first-order
-      model is eps |M| 4e^(-2) / t, 4e^(-2) / t being the Lipschitz constant
-      of theta -> exp(-t / theta).  That model does not refuse calls: the
-      slow modes of M keep their relative accuracy (Demmel and Veselic, SIAM
-      J. Matrix Anal. Appl. 1992).  On gasket level 3 with alpha 0.05 and
-      traps spanning 4e49, phi and psi at t = a*c match a 60-digit oracle
-      within 2e-16, where the model allows 4e-5.
+      sqrt(nu)), whose eigenvalues are theta = 1/lambda for the eigenvalues
+      -lambda of S.  Its first-order model is eps |M| 4e^(-2) / t, 4e^(-2) / t
+      being the Lipschitz constant of theta -> exp(-t / theta).  That model
+      does not refuse calls: the slow modes of M keep their relative accuracy
+      (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 1992).  On gasket
+      level 3 with alpha 0.05 and traps spanning 4e49, phi and psi at t = a*c
+      match a 60-digit oracle within 2e-16, where the model allows 4e-5.
 
-    A call at time t takes the generator when t^2 <= |M|_F / |S|, where the
-    two models cross up to the constant 4e^(-2), and the Green's operator
+    A call at time t takes exp(Q t) when t^2 <= |M|_F / |S|, where the two
+    models cross up to the constant 4e^(-2), and the Green's operator
     otherwise.  A network whose grounded factorization fails has |M|
-    infinite and always takes the generator.
-
-    Both operators go back to P_t through D^(-1/2) and D^(1/2), which can
-    amplify rounding in the eigenvectors by up to (nu(V) / min nu)^(1/2).  For
-    the generator this is most of its error: on gasket level 2 with traps
-    spanning 1e49, its rows at t = 1 miss 1 by 7e6 where eps |S| t is 6e-16.
-    Every call therefore checks the spectral data it is given at time t: the
-    largest row-sum residual |sum_y P_t(x, y) - 1| (one product with the
-    row sums of the modes), plus eps |S| t on the generator side, must stay
-    within ``_ROW_SUM_TOL``, or the call raises :class:`NumericalFailure`.
+    infinite and always takes exp(Q t).  The modes of M go back to P_t
+    through D^(-1/2) and D^(1/2), which can amplify rounding in the
+    eigenvectors by up to (nu(V) / min nu)^(1/2).  Every call therefore
+    checks its kernels at time t: the largest row-sum residual
+    |sum_y P_t(x, y) - 1|, plus eps |S| t for exp(Q t), must stay within
+    ``_ROW_SUM_TOL``, or the call raises :class:`NumericalFailure`.
 
     The network size decides how G is factorized (see
     :attr:`ElectricalNetwork.green_matrix`: dense Cholesky below
@@ -181,24 +176,16 @@ class Generator:
     def stationary(self) -> np.ndarray:
         return self.nu_values / self.nu_values.sum()
 
-    @cached_property
-    def _spectral(self):
-        # Symmetrize with D^(1/2) Q D^(-1/2); eigenvalues are <= 0 and the
-        # top eigenvector is sqrt(nu).
-        sqrt_nu = np.sqrt(self.nu_values)
-        sym = self.matrix * (sqrt_nu[:, None] / sqrt_nu[None, :])
-        sym = 0.5 * (sym + sym.T)
-        try:
-            eigvals, eigvecs = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(str(exc)) from exc
-        eigvals = np.minimum(eigvals, 0.0)
-        # A connected network has exactly one zero mode; pin it so kernels at
-        # very large times land exactly on the stationary projector.
-        eigvals[-1] = 0.0
-        back = eigvecs / sqrt_nu[:, None]       # D^(-1/2) U
-        fwd = (eigvecs * sqrt_nu[:, None]).T    # U^T D^(1/2)
-        return eigvals, back, fwd
+    def _spectral(self, t: float) -> np.ndarray:
+        """The kernel matrix exp(Q t) at a time t below the crossover, checked.
+
+        (The benchmark tracer in ``perfbench/spans.py`` times this method by
+        its name.)
+        """
+        kernel = scipy.linalg.expm(self.matrix * t)
+        _check(np.finfo(float).eps * self._generator_norm * t
+               + float(np.max(np.abs(kernel.sum(axis=1) - 1.0))), t)
+        return kernel
 
     @cached_property
     def _generator_norm(self) -> float:
@@ -302,52 +289,62 @@ class Generator:
         return self._green is None or t * t * self._generator_norm <= self._green.norm
 
     def _modes(self, t: float):
-        """(eigvals, back, fwd) whose kernels at time t pass their checks."""
-        if self._takes_generator(t):
-            modes, model = self._spectral, np.finfo(float).eps * self._generator_norm * t
-        else:
-            slow = self._slow_modes
-            if t >= slow.t_min and _row_error(slow[1:], t) <= _ROW_SUM_TOL:
-                return slow[1:]
-            green = self._green_modes
-            if t < green.t_min:
-                raise NumericalFailure(
-                    f"Green's operator kernels are certified from t = {green.t_min:.3e}, "
-                    f"not at t = {t:.3e}")
-            modes, model = green[1:], 0.0
-        error = model + _row_error(modes, t)
-        if error > _ROW_SUM_TOL:
-            raise NumericalFailure(f"kernels at t = {t:.3e} may be off by {error:.1e}")
-        return modes
+        """(eigvals, back, fwd) of the Green's operator whose kernels at time t
+        pass their check."""
+        slow = self._slow_modes
+        if t >= slow.t_min and _row_error(slow[1:], t) <= _ROW_SUM_TOL:
+            return slow[1:]
+        green = self._green_modes
+        if t < green.t_min:
+            raise NumericalFailure(
+                f"Green's operator kernels are certified from t = {green.t_min:.3e}, "
+                f"not at t = {t:.3e}")
+        _check(_row_error(green[1:], t), t)
+        return green[1:]
 
     def kernel_matrix(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise NonpositiveTime("time must be nonnegative")
-        n = self.net.n_vertices
+        _check_time(t)
         if t == 0.0:
-            return np.eye(n)
+            return np.eye(self.net.n_vertices)
+        if self._takes_generator(t):
+            return self._spectral(t)
         eigvals, back, fwd = self._modes(t)
         return (back * np.exp(eigvals * t)) @ fwd
 
     def kernel_row(self, start, t: float) -> np.ndarray:
-        """Row P_t(start, .) without forming the full matrix."""
-        if t < 0:
-            raise NonpositiveTime("time must be nonnegative")
+        """Row P_t(start, .); past the crossover without forming the full
+        matrix."""
+        _check_time(t)
         i = self.net.index(start)
         if t == 0.0:
             row = np.zeros(self.net.n_vertices)
             row[i] = 1.0
             return row
+        if self._takes_generator(t):
+            return self._spectral(t)[i].copy()
         eigvals, back, fwd = self._modes(t)
         return (back[i] * np.exp(eigvals * t)) @ fwd
 
     def kernel_diagonal(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise NonpositiveTime("time must be nonnegative")
+        _check_time(t)
         if t == 0.0:
             return np.ones(self.net.n_vertices)
+        if self._takes_generator(t):
+            return self._spectral(t).diagonal().copy()
         eigvals, back, fwd = self._modes(t)
         return np.einsum("xk,kx->x", back * np.exp(eigvals * t), fwd)
+
+
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise NonpositiveTime(f"time must be finite and nonnegative, got {t!r}")
+
+
+def _check(error: float, t: float) -> None:
+    """Refuse kernels at time t whose error bound exceeds ``_ROW_SUM_TOL`` or
+    is NaN."""
+    if not error <= _ROW_SUM_TOL:
+        raise NumericalFailure(f"kernels at t = {t:.3e} may be off by {error:.1e}")
 
 
 def _row_error(modes, t: float) -> float:
@@ -400,12 +397,11 @@ class TransitionKernel:
     generator: Generator
 
     def __post_init__(self):
-        rows = self.matrix.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > _ROW_SUM_TOL:
-            raise NumericalFailure(
-                f"kernel rows deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}")
+        rows = np.max(np.abs(self.matrix.sum(axis=1) - 1.0))
+        if not rows <= _ROW_SUM_TOL:
+            raise NumericalFailure(f"kernel rows deviate from 1 by {rows:.3e}")
         dens = self.density_matrix()
-        if np.max(np.abs(dens - dens.T)) > _DENSITY_SYM_TOL:
+        if not np.max(np.abs(dens - dens.T)) <= _DENSITY_SYM_TOL:
             raise NumericalFailure("transition density is not symmetric")
 
     def probability(self, x, y) -> float:
@@ -422,8 +418,6 @@ class TransitionKernel:
 
 
 def transition_kernel(gen: Generator, t: float) -> TransitionKernel:
-    if t < 0:
-        raise NonpositiveTime("time must be nonnegative")
     return TransitionKernel(t, gen.kernel_matrix(t), gen)
 
 
@@ -507,8 +501,8 @@ def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathS
     Holding at x is exponential with mean nu({x}) / mu(x); jumps go to y with
     probability mu(x, y) / mu(x).
     """
-    if not horizon > 0:
-        raise TrapnetsError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise NonpositiveTime(f"horizon must be finite and positive, got {horizon!r}")
     net = gen.net
     visits: list = []
     _run_chain(_gillespie_tables(gen), net.index(start), horizon,
@@ -519,8 +513,8 @@ def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathS
 
 def simulate_marginal(gen: Generator, start, t: float, rng_or_stream, n_paths: int) -> np.ndarray:
     """Empirical distribution of the state at time t over n_paths runs."""
-    if not t > 0:
-        raise NonpositiveTime("time must be positive")
+    if not 0 < t < math.inf:
+        raise NonpositiveTime(f"time must be finite and positive, got {t!r}")
     if n_paths < 1:
         raise PreconditionViolated("n_paths must be at least 1")
     rng = as_generator(rng_or_stream)
@@ -722,8 +716,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     by Monte Carlo with its 99% upper confidence limit as slack; with
     ``n_paths == 0`` the exit probability is conservatively taken to be 1.
     """
-    if not t >= 0:
-        raise NonpositiveTime("time must be nonnegative")
+    _check_time(t)
     if not eps > 0:
         raise TrapnetsError("eps must be positive")
     if n_paths < 0 or (n_paths > 0 and rng_or_stream is None):

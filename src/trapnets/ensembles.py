@@ -379,6 +379,11 @@ def surplus_attachment(tree: PlaneTree, p: float, rng_or_stream) -> ElectricalNe
 # Critical Erdos-Renyi largest component
 # ---------------------------------------------------------------------------
 
+def er_edge_probability(n: int, lam: float) -> float:
+    """Edge probability 1/n + lam * n^(-4/3) of the critical window."""
+    return 1.0 / n + lam * n ** (-4.0 / 3.0)
+
+
 def er_largest_component(n: int, lam: float, rng_or_stream) -> ElectricalNetwork:
     """Largest component of G(n, 1/n + lam * n^(-4/3)) with unit conductances.
 
@@ -390,7 +395,7 @@ def er_largest_component(n: int, lam: float, rng_or_stream) -> ElectricalNetwork
     """
     if n < 2:
         raise TrapnetsError("need at least two vertices")
-    p = 1.0 / n + lam * n ** (-4.0 / 3.0)
+    p = er_edge_probability(n, lam)
     if not 0.0 < p < 1.0:
         raise InvalidWindow(f"edge probability {p} outside (0, 1)")
     rng = as_generator(rng_or_stream)

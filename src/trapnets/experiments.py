@@ -30,6 +30,7 @@ from .dynamics import _exit_time_bound, aging_phi, subaging_psi
 from .ensembles import (
     UniformConductanceLaw,
     conductance_path,
+    er_edge_probability,
     er_largest_component,
     sierpinski,
     uniform_cayley_tree,
@@ -119,19 +120,42 @@ class ExperimentConfig:
                               f"in every box, got {list(map(list, config.boxes))}")
         if config.bootstrap < 0:
             raise ConfigError(f"config key 'bootstrap' must be >= 0, got {config.bootstrap}")
+        if not config.prm_floor > 0:
+            raise ConfigError(f"config key 'prm_floor' must be positive, got {config.prm_floor}")
+        if not 0 < config.path_bounds[0] <= config.path_bounds[1]:
+            raise ConfigError(f"config key 'path_bounds' needs 0 < c_min <= c_max, "
+                              f"got {list(config.path_bounds)}")
+        if config.kind == "er_component":
+            for n in config.levels:
+                if n < 2:
+                    raise ConfigError(f"config key 'levels' needs at least 2 vertices "
+                                      f"for er_component, got {n}")
+                p = er_edge_probability(n, config.lam)
+                if not 0 < p < 1:
+                    raise ConfigError(f"config key 'lambda' gives edge probability {p} "
+                                      f"outside (0, 1) at level {n}")
         return config
 
     def law(self) -> TrapLaw:
         return TrapLaw(self.alpha)
 
 
-def _scalar(kind, cast, what: str):
-    """Conversion of a JSON number of the numbers ABC ``kind``; bools are refused."""
-    def scalar(key, value):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-        return cast(value)
-    return scalar
+def _integer(key, value) -> int:
+    """Conversion of a JSON integer; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(key, value) -> float:
+    """Conversion of a JSON number to a finite float; bools are refused."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
 def _sequence(convert, length=None):
@@ -143,10 +167,6 @@ def _sequence(convert, length=None):
             raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
         return tuple(convert(key, item) for item in value)
     return sequence
-
-
-_integer = _scalar(numbers.Integral, int, "an integer")
-_number = _scalar(numbers.Real, float, "a number")
 
 
 # JSON key -> (ExperimentConfig field, conversion).  Each default is the

@@ -87,6 +87,8 @@ class DiscreteMeasure:
         """
         if not r > 0:
             raise TrapnetsError("radius must be positive")
+        if self.carrier is None:
+            raise CarrierMismatch("restricting to a root ball needs a carrier")
         keep = {p: w for p, w in self.atoms.items()
                 if ball_mask(self.carrier.root_distance(p), r)}
         return DiscreteMeasure(self.carrier, keep)

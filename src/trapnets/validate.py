@@ -303,20 +303,15 @@ def _check_truncated_kernels(seed: int):
 def _check_kernel_paths(seed: int):
     """Gasket level 3, one Pareto(0.2) trap draw (nu spans about 1e6 to 1e13),
     t on a log grid from 1e-6 a*c to 10 a*c: every kernel call raises
-    :class:`NumericalFailure` or matches its reference within its stated
-    bound.  Below the generator/Green's operator crossover the reference is
-    expm(Q t), within the generator's first-order bound
-    eps (|S| t + n) (nu(V) / min nu)^(1/2) plus the allowance of expm
-    itself, 1e-12 + 100 eps |Q| t; above it, the full eigendecomposition of
-    the Green's operator, within twice the first-order model
+    :class:`NumericalFailure` or matches its reference.  Below the
+    generator/Green's operator crossover the served kernels must equal
+    expm(Q t) exactly; above it, they must match the full eigendecomposition
+    of the Green's operator within twice the first-order model
     n eps |M|_F 4 e^(-2) / t that each of the two computations carries."""
     net = sierpinski(3).network
     env = traps.make_environment(net, TrapLaw(0.2), (5.0 / 3.0) ** 3, 3.0 ** 3,
                                  RngStream(seed).child(17))
     gen = env.generator
-    nu, eps = gen.nu_values, np.finfo(float).eps
-    q_norm = float(np.max(net.total_conductance_vector / nu))
-    amplification = math.sqrt(nu.sum() / nu.min())
     served = {"generator": 0, "Green's operator": 0, "refused": 0}
     worst = 0.0
     for t in env.scale.a * env.scale.c * np.logspace(-6, 1, 15):
@@ -326,21 +321,20 @@ def _check_kernel_paths(seed: int):
             served["refused"] += 1
             continue
         if gen._takes_generator(t):
-            side, reference = "generator", scipy.linalg.expm(gen.matrix * t)
-            bound = (eps * amplification * (gen._generator_norm * t + net.n_vertices)
-                     + 1e-12 + 100.0 * eps * q_norm * t)
+            side, reference, bound = "generator", scipy.linalg.expm(gen.matrix * t), 0.0
         else:
             side, reference = "Green's operator", green_operator_kernel(gen, t)[0]
             bound = 1e-12 + 2.0 * gen._floor() * 4.0 * math.exp(-2.0) / t
         served[side] += 1
         gap = max(np.max(np.abs(kernel - reference)),
                   np.max(np.abs(diag - np.diag(reference))))
-        worst = max(worst, gap / bound)
         if gap > bound:
             return False, (f"{side} kernel at t = {t:.3e} differs from its reference "
                            f"by {gap:.2e} > {bound:.2e}")
+        if bound > 0:
+            worst = max(worst, gap / bound)
     counts = ", ".join(f"{k} {v}" for k, v in served.items())
-    return True, f"{counts}; worst gap {worst:.2f} of its bound"
+    return True, f"{counts}; worst Green's operator gap {worst:.2f} of its bound"
 
 
 def _check_gasket(max_level: int):

@@ -148,6 +148,14 @@ class TestDynamicsCommands:
         durations = [float(line.split(",")[1]) for line in lines[1:]]
         assert sum(durations) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("flag", ["--horizon", "--kernel-at"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_simulate_non_finite_time_exits_1(self, capsys, gasket_file, flag, value):
+        code, out, err = run_cli(capsys, "simulate", "--net", str(gasket_file),
+                                 "--alpha", "0.5", "--seed", "11", flag, value)
+        assert code == 1 and out == ""
+        assert "error:" in err and "finite" in err
+
     def test_missing_seed_exits_2(self, gasket_file):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--net", str(gasket_file), "--alpha", "0.5",
@@ -256,6 +264,24 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path)]) == 1
         assert not (tmp_path / "table.csv").exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ensemble, key, value", [
+        ("er_component", "lambda", float("nan")),
+        ("er_component", "lambda", -100.0),
+        ("conductance_path", "path_bounds", [0.5, float("inf")]),
+        ("conductance_path", "path_bounds", [2.0, 0.5]),
+        ("sierpinski", "prm_floor", -1.0),
+    ])
+    def test_out_of_range_value_exits_1_naming_the_key(self, capsys, tmp_path,
+                                                       ensemble, key, value):
+        cfg = {"experiment": "two_point", "ensemble": ensemble, "levels": [3, 4],
+               "alpha": 0.5, "seed": 2, "replicas": 3, key: value,
+               "out": str(tmp_path / "table.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert not (tmp_path / "table.csv").exists()
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

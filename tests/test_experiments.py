@@ -64,6 +64,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             gasket_config(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", float("nan")), ("t_grid", [float("inf")]), ("s_grid", [1.0, float("nan")]),
+        ("path_bounds", [0.5, float("inf")]), ("path_bounds", [2.0, 0.5]),
+        ("path_bounds", [0.0, 1.0]), ("prm_floor", -1.0), ("prm_floor", 0.0),
+        ("prm_floor", 10 ** 400), ("boxes", [[float("inf"), 1.0]]),
+    ])
+    def test_out_of_range_values_rejected_by_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            gasket_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", float("nan")), ("lambda", -100.0), ("lambda", 1e9), ("levels", [1, 40]),
+    ])
+    def test_er_edge_probability_outside_the_unit_interval(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            gasket_config(**{"ensemble": "er_component", "levels": [40, 80], key: value})
+
     @pytest.mark.parametrize("key, value", [("replica", 100), ("u_min", 2.0)])
     def test_unknown_keys_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -369,9 +386,9 @@ PINNED_DIGESTS = {
     ("aging", "sierpinski", "sobol"):
         "526dde5e017a2c276db2a649183f44362278d7ad1f95ecb5710d1f137dc9fcd0",
     ("aging", "conductance_path", "mc"):
-        "71ef58af21162c77599abd246f482a37d8e416d6766c73aba93051a196f16994",
+        "e85adf1d142f38d5e80d8474092639d15ea1d5a688581f0cf8420c02ca528347",
     ("aging", "conductance_path", "sobol"):
-        "67defdac951fd48fa31b5c63e4272b7f8e9b4a25541de47513cdb414d027c7e6",
+        "e3a37dae42b1b31dc2b1b80da2ca316c2a03c9426a942d75313092afdbcfba4e",
     ("aging", "cayley_tree", "mc"):
         "f650ce0612c42d7016d267fda5af0e19a020cd6056e30a76880a268c054effb7",
     ("aging", "er_component", "mc"):
@@ -393,9 +410,9 @@ PINNED_DIGESTS = {
     ("two_point", "sierpinski", "sobol"):
         "4723d1bc82dd94280988b1c9a10d74822756e29e765efc57f763926687d6ab5e",
     ("two_point", "conductance_path", "mc"):
-        "d83311e931d856c1de0b6833c8dd25cc10409527c0899f263ec923ed347b69ba",
+        "b0615b0cc91332b941b9072536ab5e295ef0c60d0c483ddca8bcc729d273e9f3",
     ("two_point", "conductance_path", "sobol"):
-        "bfb88518366a1c82acbeac7ea016b7f8afd9fa1d13d588fd3c3d44369ad7ebe3",
+        "41291c0a01da183ca3e4ff1dd4974adf807fbe92f0b3b5c7113ad65cfdb37129",
     ("two_point", "cayley_tree", "mc"):
         "6eb064346f59c260d587d6af7d64a6474e62ecd6b2e484d9e8b55b5210784256",
     ("two_point", "er_component", "mc"):

@@ -224,6 +224,10 @@ class TestRestrict:
         assert set(counting.restrict(1.0).atoms) == {0}
         assert set(counting.restrict(1.5).atoms) == {0, 1}
 
+    def test_needs_a_carrier(self):
+        with pytest.raises(CarrierMismatch):
+            DiscreteMeasure(None, {1: 1.0}).restrict(1.0)
+
 
 class TestVagueDistance:
     def test_identity(self):
