@@ -124,21 +124,20 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    raw = serialize.load_json(Path(args.config).read_text(), "config")
-    config = experiments.ExperimentConfig.from_dict(raw)
-    kind = raw.get("experiment", "aging")
+    config = experiments.ExperimentConfig.from_dict(
+        serialize.load_json(Path(args.config).read_text(), "config"))
     runner = {
         "aging": experiments.run_aging_experiment,
         "subaging": experiments.run_subaging_experiment,
         "two_point": experiments.run_two_point_experiment,
         "traps": experiments.run_trap_convergence,
         "metrics": experiments.run_metric_convergence,
-    }.get(kind)
+    }.get(config.experiment)
     if runner is None:
-        print(f"unknown experiment type {kind!r}", file=sys.stderr)
+        print(f"unknown experiment type {config.experiment!r}", file=sys.stderr)
         return 2
     table = runner(config)
-    _write(raw.get("out", args.out), table.to_csv())
+    _write(config.out or args.out, table.to_csv())
     if table.failures:
         print(f"warning: {table.failures} replica failures", file=sys.stderr)
     return 0

@@ -160,7 +160,6 @@ class Generator:
             raise SupportMismatch(f"nu charges non-vertices {sorted(map(repr, extra))}")
         self.net = net
         self.nu_values = np.array([nu.atoms[v] for v in net.vertex_ids])
-        self.nu = nu
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -404,15 +403,6 @@ class TransitionKernel:
         if not np.max(np.abs(dens - dens.T)) <= _DENSITY_SYM_TOL:
             raise NumericalFailure("transition density is not symmetric")
 
-    def probability(self, x, y) -> float:
-        net = self.generator.net
-        return float(self.matrix[net.index(x), net.index(y)])
-
-    def density(self, x, y) -> float:
-        net = self.generator.net
-        return float(self.matrix[net.index(x), net.index(y)]
-                     / self.generator.nu_values[net.index(y)])
-
     def density_matrix(self) -> np.ndarray:
         return self.matrix / self.generator.nu_values[None, :]
 
@@ -593,6 +583,18 @@ class AgingSurface:
                 yield s, t, float(self.values[i, j])
 
 
+def _scaled_phi(env, root, s: float, t: float) -> float:
+    """Aging function of a trap environment at walk times a*c*s and a*c*t."""
+    return aging_phi(env.generator, root, s, t, time_unit=env.scale.a * env.scale.c)
+
+
+def _scaled_psi(env, root, s: float, t: float) -> float:
+    """Sub-aging function of a trap environment: holding probed over
+    [a*c*t, a*c*t + c*s]."""
+    return subaging_psi(env.generator, root, s, t, time_unit=env.scale.a * env.scale.c,
+                        holding_unit=env.scale.c)
+
+
 def scaled_surface(env, root, s_grid: Sequence[float], t_grid: Sequence[float],
                    mode: str) -> AgingSurface:
     """Evaluate the rescaled two-point function on a grid.
@@ -602,16 +604,11 @@ def scaled_surface(env, root, s_grid: Sequence[float], t_grid: Sequence[float],
     """
     if mode not in ("aging", "subaging"):
         raise TrapnetsError(f"unknown surface mode {mode!r}")
-    gen = env.generator
-    unit = env.scale.a * env.scale.c
+    evaluate = _scaled_phi if mode == "aging" else _scaled_psi
     values = np.empty((len(s_grid), len(t_grid)))
     for i, s in enumerate(s_grid):
         for j, t in enumerate(t_grid):
-            if mode == "aging":
-                values[i, j] = aging_phi(gen, root, s, t, time_unit=unit)
-            else:
-                values[i, j] = subaging_psi(gen, root, s, t, time_unit=unit,
-                                            holding_unit=env.scale.c)
+            values[i, j] = evaluate(env, root, s, t)
     return AgingSurface(tuple(s_grid), tuple(t_grid), values, mode)
 
 

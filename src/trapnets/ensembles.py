@@ -230,7 +230,6 @@ class CodingData:
     height: np.ndarray        # H(i), distance of v_i to the root
     walk: np.ndarray          # X(i) for i = 0..m, the Lukasiewicz path
     outdegree_counts: dict    # k -> N^(k)(i) array over i = 0..m-1
-    degree_counts: dict       # k -> D^(k)(i) array over i = 0..m-1
     area: int                 # a(T) = sum_{i=1}^{m-1} X(i)
 
 
@@ -242,15 +241,10 @@ def coding_functions(tree: PlaneTree) -> CodingData:
     height = np.zeros(m, dtype=int)
     for i in range(1, m):
         height[i] = height[tree.parent[i]] + 1
-    degree = k.copy()
-    degree[1:] += 1
     outdeg_counts = {}
     for kk in np.unique(k):
         outdeg_counts[int(kk)] = np.cumsum(k == kk)
-    deg_counts = {}
-    for kk in np.unique(degree):
-        deg_counts[int(kk)] = np.cumsum(degree == kk)
-    return CodingData(height, walk, outdeg_counts, deg_counts, int(walk[1:m].sum()))
+    return CodingData(height, walk, outdeg_counts, int(walk[1:m].sum()))
 
 
 def _prufer_code(k: int, m: int) -> list:

@@ -2,10 +2,10 @@
 
 A single JSON config describes the ensemble, the trap law, the level
 sequence with its scaling constants, the evaluation grids and replica
-counts; ``_CONFIG_KEYS`` lists every key it may hold.  Runners emit flat
-result tables with one row per statistic; all randomness flows through
-(seed, stream) pairs so reruns are bit-identical regardless of worker
-scheduling.
+counts; ``_CONFIG_KEYS`` lists every key it may hold, with that key's own
+rule.  Runners emit flat result tables with one row per statistic; all
+randomness flows through (seed, stream) pairs so reruns are bit-identical
+regardless of worker scheduling.
 
 Ensembles are decided in one place.  ``_SCALES`` gives each kind's space
 and mass normalizations; the nested kinds in ``COUPLED`` get their level
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtrc
 
-from .dynamics import _exit_time_bound, aging_phi, subaging_psi
+from .dynamics import _exit_time_bound, _scaled_phi, _scaled_psi
 from .ensembles import (
     UniformConductanceLaw,
     conductance_path,
@@ -40,7 +40,14 @@ from .errors import ConfigError, TrapnetsError
 from .measures import DiscreteMeasure, dis_measure_distance, local_hausdorff
 from .networks import FiniteMetricSpace, ball_mask, boundary_resistance
 from .rng import RngStream
-from .traps import ScaleTriple, TrapEnvironment, TrapLaw, scaling_constant, truncated_prm
+from .traps import (
+    ScaleTriple,
+    TrapEnvironment,
+    TrapLaw,
+    pareto_sample,
+    scaling_constant,
+    truncated_prm,
+)
 from .serialize import csv_text, format_value
 
 # Space and mass normalizations (a, b) of each ensemble at size parameter n.
@@ -79,16 +86,20 @@ class ExperimentConfig:
     workers: int = 1
     bootstrap: int = 400
     sampler: str = "mc"                   # "mc" or "sobol" (nested ensembles)
+    experiment: str = "aging"             # the runner the command line picks
+    out: str | None = None                # CSV path; None keeps the command line's --out
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Config from its JSON object; a missing key keeps its field's default."""
+        """Config from its JSON object; a missing key keeps its field's default.
+
+        Each key's own rule is checked by its row of ``_CONFIG_KEYS``; the
+        rules checked here read two keys.
+        """
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         values = {}
         for key, value in raw.items():
-            if key in _COMMAND_KEYS:
-                continue
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             name, convert = _CONFIG_KEYS[key]
@@ -97,34 +108,8 @@ class ExperimentConfig:
             if name in _REQUIRED and name not in values:
                 raise ConfigError(f"config missing field {key!r}")
         config = ExperimentConfig(**values)
-        if config.kind not in KINDS:
-            raise ConfigError(f"ensemble must be one of {KINDS}, got {config.kind!r}")
-        if list(config.levels) != sorted(set(config.levels)) or not config.levels:
-            raise ConfigError("levels must be nonempty and strictly increasing")
-        if not 0.0 < config.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if config.replicas < 1:
-            raise ConfigError("replica count must be >= 1")
-        if config.sampler not in ("mc", "sobol"):
-            raise ConfigError("sampler must be 'mc' or 'sobol'")
         if config.sampler == "sobol" and config.kind not in COUPLED:
             raise ConfigError("the sobol sampler needs a nested ensemble")
-        if not all(t > 0 for t in config.t_grid):
-            raise ConfigError("t_grid times must be positive")
-        if not all(s >= 0 for s in config.s_grid):
-            raise ConfigError("s_grid times must be nonnegative")
-        if config.workers < 1:
-            raise ConfigError("worker count must be >= 1")
-        if not all(r > 0 and u > 0 for r, u in config.boxes):
-            raise ConfigError(f"config key 'boxes' needs a positive radius and threshold u "
-                              f"in every box, got {list(map(list, config.boxes))}")
-        if config.bootstrap < 0:
-            raise ConfigError(f"config key 'bootstrap' must be >= 0, got {config.bootstrap}")
-        if not config.prm_floor > 0:
-            raise ConfigError(f"config key 'prm_floor' must be positive, got {config.prm_floor}")
-        if not 0 < config.path_bounds[0] <= config.path_bounds[1]:
-            raise ConfigError(f"config key 'path_bounds' needs 0 < c_min <= c_max, "
-                              f"got {list(config.path_bounds)}")
         if config.kind == "er_component":
             for n in config.levels:
                 if n < 2:
@@ -158,6 +143,13 @@ def _number(key, value) -> float:
     raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
+def _text(key, value) -> str:
+    """Conversion of a nonempty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"config key {key!r} must be a nonempty string, got {value!r}")
+    return value
+
+
 def _sequence(convert, length=None):
     """Conversion of a list whose items go through ``convert``; ``length``
     fixes the number of items."""
@@ -169,25 +161,49 @@ def _sequence(convert, length=None):
     return sequence
 
 
-# JSON key -> (ExperimentConfig field, conversion).  Each default is the
-# field's default; the command-line keys choose the runner and the output.
+def _rule(convert, must: str, holds):
+    """Conversion by ``convert``, then the key's own rule: ``holds`` of the
+    converted value, which the error message states as ``must``."""
+    def checked(key, value):
+        converted = convert(key, value)
+        if not holds(converted):
+            raise ConfigError(f"config key {key!r} must be {must}, got {value!r}")
+        return converted
+    return checked
+
+
+def _grid(sign: str, holds):
+    """A time grid: nonempty, no value twice (a repeat would count its
+    replicas twice in the bootstrap), each time ``holds``."""
+    def valid(grid):
+        return grid != () and len(set(grid)) == len(grid) and all(map(holds, grid))
+    return _rule(_sequence(_number), f"a nonempty list of distinct {sign} times", valid)
+
+
+# JSON key -> (ExperimentConfig field, conversion that also checks the key's
+# own rule).  Each default is the field's default.
 _CONFIG_KEYS = {
-    "ensemble": ("kind", lambda key, value: value),
-    "levels": ("levels", _sequence(_integer)),
-    "alpha": ("alpha", _number),
+    "ensemble": ("kind", _rule(_text, f"one of {KINDS}", KINDS.__contains__)),
+    "levels": ("levels", _rule(_sequence(_integer), "a nonempty, strictly increasing list",
+                               lambda n: n != () and list(n) == sorted(set(n)))),
+    "alpha": ("alpha", _rule(_number, "in (0, 1)", lambda alpha: 0.0 < alpha < 1.0)),
     "seed": ("seed", _integer),
-    "replicas": ("replicas", _integer),
-    "s_grid": ("s_grid", _sequence(_number)),
-    "t_grid": ("t_grid", _sequence(_number)),
+    "replicas": ("replicas", _rule(_integer, ">= 1", lambda n: n >= 1)),
+    "s_grid": ("s_grid", _grid("nonnegative", lambda s: s >= 0)),
+    "t_grid": ("t_grid", _grid("positive", lambda t: t > 0)),
     "lambda": ("lam", _number),
-    "path_bounds": ("path_bounds", _sequence(_number, 2)),
-    "boxes": ("boxes", _sequence(_sequence(_number, 2))),
-    "prm_floor": ("prm_floor", _number),
-    "workers": ("workers", _integer),
-    "bootstrap": ("bootstrap", _integer),
-    "sampler": ("sampler", lambda key, value: value),
+    "path_bounds": ("path_bounds", _rule(_sequence(_number, 2), "[c_min, c_max] with "
+                                         "0 < c_min <= c_max", lambda b: 0 < b[0] <= b[1])),
+    "boxes": ("boxes", _rule(_sequence(_sequence(_number, 2)),
+                             "a list of [radius, u] pairs, both positive",
+                             lambda boxes: all(r > 0 and u > 0 for r, u in boxes))),
+    "prm_floor": ("prm_floor", _rule(_number, "positive", lambda v: v > 0)),
+    "workers": ("workers", _rule(_integer, ">= 1", lambda n: n >= 1)),
+    "bootstrap": ("bootstrap", _rule(_integer, ">= 0", lambda n: n >= 0)),
+    "sampler": ("sampler", _rule(_text, "'mc' or 'sobol'", ("mc", "sobol").__contains__)),
+    "experiment": ("experiment", _text),
+    "out": ("out", _text),
 }
-_COMMAND_KEYS = ("experiment", "out")
 _REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
@@ -369,7 +385,7 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
                 else:
                     net = _level_network(config, n, base.child(2, slot))
                     root = net.root
-                    traps = law.quantile(1.0 - base.child(3, slot).generator().random(net.n_vertices))
+                    traps = pareto_sample(law, base.child(3, slot).generator(), net.n_vertices)
                 nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
                 env = TrapEnvironment(net, nu, scales[n])
             except TrapnetsError:
@@ -441,30 +457,19 @@ def _window_exit_bound(env, config: ExperimentConfig) -> float:
     return min(_exit_time_bound(env, net.root, res, 0.5 * res, horizon), 1.0)
 
 
-def _phi_evaluator(env, root, s, t):
-    return aging_phi(env.generator, root, s, t,
-                     time_unit=env.scale.a * env.scale.c)
-
-
-def _psi_evaluator(env, root, s, t):
-    return subaging_psi(env.generator, root, s, t,
-                        time_unit=env.scale.a * env.scale.c,
-                        holding_unit=env.scale.c)
-
-
 def run_aging_experiment(config: ExperimentConfig) -> ResultTable:
     """Annealed aging function on the (s, t) grid with stabilization diagnostics."""
-    return _two_point_runner(config, {"phi": _phi_evaluator})
+    return _two_point_runner(config, {"phi": _scaled_phi})
 
 
 def run_subaging_experiment(config: ExperimentConfig) -> ResultTable:
     """Annealed sub-aging function; probes holding over windows of length c*s."""
-    return _two_point_runner(config, {"psi": _psi_evaluator})
+    return _two_point_runner(config, {"psi": _scaled_psi})
 
 
 def run_two_point_experiment(config: ExperimentConfig) -> ResultTable:
     """Both two-point functions in one pass, sharing each replica's spectral data."""
-    return _two_point_runner(config, {"phi": _phi_evaluator, "psi": _psi_evaluator})
+    return _two_point_runner(config, {"phi": _scaled_phi, "psi": _scaled_psi})
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +519,7 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
             # Fresh replicas per box so the per-box chi-square cells are
             # independent and the aggregate statistic has its nominal law.
             rng = RngStream(config.seed).child(8, n, box_id).generator()
-            draws = law.quantile(1.0 - rng.random((reps, len(idx))))
+            draws = pareto_sample(law, rng, (reps, len(idx)))
             void = np.all(draws <= scale.c * u, axis=1)
             p0 = (1.0 - law.tail(scale.c * u)) ** len(idx)
             _void_rows(table, cells, "pi", n, r, u, int(void.sum()), reps, p0)

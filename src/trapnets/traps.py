@@ -96,9 +96,8 @@ class TrapEnvironment:
     scale: ScaleTriple
 
     def __post_init__(self):
-        for v in self.network.vertex_ids:
-            if self.nu.atoms.get(v, 0.0) <= 0.0:
-                raise TrapnetsError(f"trap measure must charge every vertex; {v!r} missing")
+        # Building the generator checks that nu charges exactly the vertices.
+        self.generator
 
     @cached_property
     def generator(self):
@@ -106,23 +105,19 @@ class TrapEnvironment:
 
         return Generator(self.network, self.nu)
 
-    def trap(self, v) -> float:
-        return self.nu.atoms[v]
 
-
-def sample_trap(net: ElectricalNetwork, law: TrapLaw, rng_or_stream,
-                carrier=None) -> DiscreteMeasure:
+def sample_trap(net: ElectricalNetwork, law: TrapLaw, rng_or_stream) -> DiscreteMeasure:
     """One i.i.d. Pareto trap per vertex, in vertex insertion order."""
     rng = as_generator(rng_or_stream)
     draws = pareto_sample(law, rng, size=net.n_vertices)
     atoms = {v: float(x) for v, x in zip(net.vertex_ids, draws)}
-    return DiscreteMeasure(carrier, atoms)
+    return DiscreteMeasure(None, atoms)
 
 
 def make_environment(net: ElectricalNetwork, law: TrapLaw, a: float, b: float,
-                     rng_or_stream, carrier=None) -> TrapEnvironment:
+                     rng_or_stream) -> TrapEnvironment:
     """Sample a trap and package it with the (a, b, c) scaling triple."""
-    nu = sample_trap(net, law, rng_or_stream, carrier=carrier)
+    nu = sample_trap(net, law, rng_or_stream)
     return TrapEnvironment(net, nu, ScaleTriple(a, b, scaling_constant(law, b)))
 
 

@@ -254,11 +254,12 @@ class TestExperimentCommand:
         # A field of None writes the value as the whole file.
         pytest.param(None, "[1, 2]", id="not-an-object"),
         pytest.param(None, '{"ensemble": ', id="truncated"),
+        ("out", 5), ("experiment", ["aging"]),
     ])
     def test_invalid_config_exits_1(self, capsys, tmp_path, field, value):
         cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
-               "alpha": 0.5, "seed": 2, "replicas": 3, field: value,
-               "out": str(tmp_path / "table.csv")}
+               "alpha": 0.5, "seed": 2, "replicas": 3,
+               "out": str(tmp_path / "table.csv"), field: value}
         path = tmp_path / "cfg.json"
         path.write_text(value if field is None else json.dumps(cfg))
         assert main(["experiment", "--config", str(path)]) == 1

@@ -61,7 +61,7 @@ class TestConfig:
         ("boxes", [[0.5, 1.0], [-1.0, 1.0]]), ("bootstrap", -3),
     ])
     def test_malformed_values_rejected_by_key(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
             gasket_config(**{key: value})
 
     @pytest.mark.parametrize("key, value", [
@@ -69,16 +69,29 @@ class TestConfig:
         ("path_bounds", [0.5, float("inf")]), ("path_bounds", [2.0, 0.5]),
         ("path_bounds", [0.0, 1.0]), ("prm_floor", -1.0), ("prm_floor", 0.0),
         ("prm_floor", 10 ** 400), ("boxes", [[float("inf"), 1.0]]),
+        ("t_grid", []), ("s_grid", []), ("s_grid", [1.0, 1.0]), ("t_grid", [2.0, 0.5, 2.0]),
     ])
     def test_out_of_range_values_rejected_by_key(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            gasket_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("ensemble", "x"), ("ensemble", 5), ("levels", []), ("levels", [2, 1]),
+        ("levels", [1, 1]), ("alpha", 1.5), ("alpha", 0.0), ("replicas", 0),
+        ("sampler", "x"), ("sampler", ["mc"]), ("t_grid", [-1]), ("t_grid", [0.0]),
+        ("s_grid", [-1]), ("workers", 0), ("boxes", [[0.0, 1.0]]), ("bootstrap", -1),
+        ("prm_floor", 0.0), ("path_bounds", [2.0, 0.5]), ("experiment", ["aging"]),
+        ("experiment", ""), ("out", 5), ("out", ""),
+    ])
+    def test_each_key_rule_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
             gasket_config(**{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("lambda", float("nan")), ("lambda", -100.0), ("lambda", 1e9), ("levels", [1, 40]),
     ])
     def test_er_edge_probability_outside_the_unit_interval(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
             gasket_config(**{"ensemble": "er_component", "levels": [40, 80], key: value})
 
     @pytest.mark.parametrize("key, value", [("replica", 100), ("u_min", 2.0)])
@@ -286,7 +299,7 @@ class TestFailureHandling:
         from trapnets.errors import NumericalFailure
 
         calls = {"n": 0}
-        real = ex._phi_evaluator
+        real = ex._scaled_phi
 
         def flaky(env, root, s, t):
             calls["n"] += 1
@@ -294,7 +307,7 @@ class TestFailureHandling:
                 raise NumericalFailure("injected")
             return real(env, root, s, t)
 
-        monkeypatch.setattr(ex, "_phi_evaluator", flaky)
+        monkeypatch.setattr(ex, "_scaled_phi", flaky)
         table = ex.run_aging_experiment(gasket_config(levels=[1, 2], replicas=4))
         assert table.failures == 1
         assert len(table.select("phi")) == 7  # one of eight evaluations lost
@@ -312,14 +325,14 @@ class TestFailureHandling:
         import trapnets.experiments as ex
         from trapnets.errors import NumericalFailure
 
-        real = ex._phi_evaluator
+        real = ex._scaled_phi
 
         def level_2_fails(env, root, s, t):
             if env.network.n_vertices == sierpinski(2).network.n_vertices:
                 raise NumericalFailure("injected")
             return real(env, root, s, t)
 
-        monkeypatch.setattr(ex, "_phi_evaluator", level_2_fails)
+        monkeypatch.setattr(ex, "_scaled_phi", level_2_fails)
         table = ex.run_aging_experiment(gasket_config(levels=[1, 2, 3, 4], replicas=2))
         means = {r.n: r.value for r in table.select("phi_annealed_mean")}
         assert sorted(means) == [1, 3, 4]

@@ -6,7 +6,7 @@ import shlex
 from pathlib import Path
 
 from trapnets.cli import main
-from trapnets.experiments import _COMMAND_KEYS, _CONFIG_KEYS
+from trapnets.experiments import _CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,4 +46,4 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
 
 def test_config_key_table_lists_every_key():
     rows = re.findall(r"^\| `(\w+)` \|", _section("Command line"), re.M)
-    assert sorted(rows) == sorted([*_CONFIG_KEYS, *_COMMAND_KEYS])
+    assert sorted(rows) == sorted(_CONFIG_KEYS)

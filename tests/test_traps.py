@@ -11,11 +11,13 @@ from trapnets import (
     sample_trap,
     scaling_constant,
     scaling_identity_residual,
+    sierpinski,
     truncated_prm,
 )
-from trapnets.errors import InvalidScale, InvalidTruncation, TrapnetsError
+from trapnets.errors import InvalidScale, InvalidTruncation, SupportMismatch, TrapnetsError
 from trapnets.measures import DiscreteMeasure
 from trapnets.rng import RngStream
+from trapnets.traps import ScaleTriple, TrapEnvironment
 
 from conftest import line_space
 
@@ -95,6 +97,17 @@ class TestSampleTrap:
         law = TrapLaw(0.4, u_min=2.0)
         nu = sample_trap(unit_triangle, law, RngStream(45))
         assert all(w >= 2.0 for w in nu.atoms.values())
+
+
+class TestTrapEnvironment:
+    @pytest.mark.parametrize("extra, drop", [(999, None), (None, 0)])
+    def test_support_other_than_the_vertices_refused(self, extra, drop):
+        net = sierpinski(1).network
+        atoms = {v: 1.0 for v in net.vertex_ids if v != drop}
+        if extra is not None:
+            atoms[extra] = 1.0
+        with pytest.raises(SupportMismatch):
+            TrapEnvironment(net, DiscreteMeasure(None, atoms), ScaleTriple(1.0, 1.0, 1.0))
 
 
 class TestTruncatedPRM:
