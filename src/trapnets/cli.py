@@ -69,11 +69,10 @@ def _cmd_resistance(args) -> int:
     if args.source is not None and args.target is not None:
         print(serialize.format_value(effective_resistance(net, args.source, args.target)))
         return 0
-    r = net.resistance_matrix
     ids = net.vertex_ids
-    print("," + ",".join(str(v) for v in ids))
-    for v, row in zip(ids, r):
-        print(str(v) + "," + ",".join(serialize.format_value(x) for x in row))
+    _write(None, serialize.csv_text([""] + [str(v) for v in ids],
+                                    ([str(v)] + [serialize.format_value(x) for x in row]
+                                     for v, row in zip(ids, net.resistance_matrix))))
     return 0
 
 

@@ -31,6 +31,7 @@ from .networks import ElectricalNetwork, add_unit_edges, build_network
 from .rng import as_generator
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
+GASKET_LEVELS = (0, 9)      # lowest and highest level that sierpinski builds
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,9 @@ def sierpinski(n: int) -> GasketGraph:
     Vertices live on the triangular lattice spanned by (1, 0) and
     (1/2, sqrt(3)/2); edges join vertices a Euclidean distance 2^-n apart.
     """
-    if not 0 <= n <= 9:
-        raise LevelTooLarge("gasket levels above 9 are not supported")
+    low, high = GASKET_LEVELS
+    if not low <= n <= high:
+        raise LevelTooLarge(f"gasket levels must be from {low} to {high}, got {n}")
     size = 2 ** n
     cells = [(0, 0)]
     s = size
@@ -198,8 +200,8 @@ class PlaneTree:
         return build_network(sorted(self.labels), edges, root=self.labels[0])
 
 
-def as_plane_tree(edges, m: int, root_label: int = 1) -> PlaneTree:
-    """Plane structure of a labeled tree: root at ``root_label``, children by label."""
+def as_plane_tree(edges, m: int) -> PlaneTree:
+    """Plane structure of a labeled tree: root at label 1, children by label."""
     adj: dict = {v: [] for v in range(1, m + 1)}
     for u, v in edges:
         adj[u].append(v)
@@ -209,7 +211,7 @@ def as_plane_tree(edges, m: int, root_label: int = 1) -> PlaneTree:
     parent = []
     labels = []
     index_of: dict = {}
-    stack = [(root_label, -1)]
+    stack = [(1, -1)]
     while stack:
         label, par = stack.pop()
         index_of[label] = len(labels)

@@ -7,11 +7,11 @@ rule.  Runners emit flat result tables with one row per statistic; all
 randomness flows through (seed, stream) pairs so reruns are bit-identical
 regardless of worker scheduling.
 
-Ensembles are decided in one place.  ``_SCALES`` gives each kind's space
-and mass normalizations; the nested kinds in ``COUPLED`` get their level
-graphs and each replica's coupled trap uniforms and conductances from
-``_build_coupled_levels``; every other network comes from
-``_level_network``.  The two-point runner maps its replicas over one
+Each ensemble kind's row of ``_ENSEMBLES`` gives its space and mass
+normalizations, the levels it builds, whether its levels nest, and the
+network of an independent draw.  Nested kinds get their level graphs and
+each replica's coupled trap uniforms and conductances from
+``_build_coupled_levels``.  The two-point runner maps its replicas over one
 thread pool of ``workers`` threads and collects them in replica order.
 """
 
@@ -28,6 +28,7 @@ from scipy.special import chdtrc
 
 from .dynamics import _exit_time_bound, _scaled_phi, _scaled_psi
 from .ensembles import (
+    GASKET_LEVELS,
     UniformConductanceLaw,
     conductance_path,
     er_edge_probability,
@@ -45,29 +46,45 @@ from .traps import (
     TrapEnvironment,
     TrapLaw,
     pareto_sample,
+    sample_trap,
     scaling_constant,
+    scaling_identity_residual,
     truncated_prm,
 )
 from .serialize import csv_text, format_value
 
-# Space and mass normalizations (a, b) of each ensemble at size parameter n.
-_SCALES = {
-    "sierpinski": lambda n: ((5.0 / 3.0) ** n, 3.0 ** n),
-    "conductance_path": lambda n: (2.0 ** n, 2.0 ** n),
-    "cayley_tree": lambda n: (float(n) ** 0.5, float(n)),
-    "er_component": lambda n: (float(n) ** (1.0 / 3.0), float(n) ** (2.0 / 3.0)),
+
+@dataclass(frozen=True)
+class _Ensemble:
+    scales: Callable      # level n -> space and mass normalizations (a, b)
+    levels: tuple         # lowest and highest level it builds
+    nested: bool          # levels nest, so replicas share trap uniforms across them
+    network: Callable     # (config, n, stream) -> network of an independent draw
+
+
+_ENSEMBLES = {
+    "sierpinski": _Ensemble(lambda n: ((5.0 / 3.0) ** n, 3.0 ** n), GASKET_LEVELS, True,
+                            lambda config, n, stream: sierpinski(n).network),
+    "conductance_path": _Ensemble(
+        lambda n: (2.0 ** n, 2.0 ** n), (0, math.inf), True,
+        lambda config, n, stream: conductance_path(
+            2 ** n, UniformConductanceLaw(*config.path_bounds), stream).network),
+    "cayley_tree": _Ensemble(
+        lambda n: (float(n) ** 0.5, float(n)), (1, math.inf), False,
+        lambda config, n, stream: as_plane_tree(uniform_cayley_tree(n, stream), n).network()),
+    "er_component": _Ensemble(
+        lambda n: (float(n) ** (1.0 / 3.0), float(n) ** (2.0 / 3.0)), (2, math.inf), False,
+        lambda config, n, stream: er_largest_component(n, config.lam, stream)),
 }
-KINDS = tuple(_SCALES)
-# Ensembles whose levels nest, so replicas share trap uniforms across levels.
-COUPLED = ("sierpinski", "conductance_path")
+KINDS = tuple(_ENSEMBLES)
 
 
 def default_scales(kind: str, level: int, law: TrapLaw) -> ScaleTriple:
     """Per-ensemble space and mass normalizations with the derived trap scale."""
-    if kind not in _SCALES:
+    if kind not in _ENSEMBLES:
         raise ConfigError(f"unknown ensemble kind {kind!r}")
-    a, b = _SCALES[kind](level)
-    return ScaleTriple(a, b, scaling_constant(law, max(b, 1.0)))
+    a, b = _ENSEMBLES[kind].scales(level)
+    return ScaleTriple(a, b, scaling_constant(law, b))
 
 
 @dataclass(frozen=True)
@@ -108,13 +125,15 @@ class ExperimentConfig:
             if name in _REQUIRED and name not in values:
                 raise ConfigError(f"config missing field {key!r}")
         config = ExperimentConfig(**values)
-        if config.sampler == "sobol" and config.kind not in COUPLED:
+        low, high = _ENSEMBLES[config.kind].levels
+        if not all(low <= n <= high for n in config.levels):
+            span = f">= {low}" if high == math.inf else f"from {low} to {high}"
+            raise ConfigError(f"config key 'levels' must be {span} for {config.kind}, "
+                              f"got {list(config.levels)}")
+        if config.sampler == "sobol" and not _ENSEMBLES[config.kind].nested:
             raise ConfigError("the sobol sampler needs a nested ensemble")
         if config.kind == "er_component":
             for n in config.levels:
-                if n < 2:
-                    raise ConfigError(f"config key 'levels' needs at least 2 vertices "
-                                      f"for er_component, got {n}")
                 p = er_edge_probability(n, config.lam)
                 if not 0 < p < 1:
                     raise ConfigError(f"config key 'lambda' gives edge probability {p} "
@@ -242,16 +261,15 @@ class ResultTable:
                          for r in self.rows))
 
 
-def bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
-                 n_boot: int = 400, level: float = 0.95):
-    """Percentile bootstrap interval for the mean, degenerate for one value."""
+def bootstrap_ci(values: np.ndarray, rng: np.random.Generator, n_boot: int = 400):
+    """95% percentile bootstrap interval for the mean, degenerate for one value."""
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
     if len(values) < 2 or n_boot < 1:
         return mean, mean, mean
     idx = rng.integers(0, len(values), size=(n_boot, len(values)))
     means = values[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = np.quantile(means, [(1 - 0.95) / 2, (1 + 0.95) / 2])
     return mean, min(float(lo), mean), max(float(hi), mean)
 
 
@@ -321,17 +339,6 @@ def _build_coupled_levels(config: ExperimentConfig):
     return out, uniforms, lambda rep: law.sample(streams.child(rep, 1).generator(), 2 * 2 ** top)
 
 
-def _level_network(config: ExperimentConfig, n: int, stream: RngStream):
-    """One network of the ensemble at size parameter n, drawn from stream."""
-    if config.kind == "sierpinski":
-        return sierpinski(n).network
-    if config.kind == "conductance_path":
-        return conductance_path(2 ** n, UniformConductanceLaw(*config.path_bounds), stream).network
-    if config.kind == "cayley_tree":
-        return as_plane_tree(uniform_cayley_tree(n, stream), n).network()
-    return er_largest_component(n, config.lam, stream)
-
-
 def _sobol_uniforms(config: ExperimentConfig, n_keys: int) -> np.ndarray:
     """Scrambled low-discrepancy uniforms, one row per replica.
 
@@ -364,8 +371,8 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     law = config.law()
     table = ResultTable()
     scales = {n: default_scales(config.kind, n, law) for n in config.levels}
-    coupled = config.kind in COUPLED
-    if coupled:
+    ensemble = _ENSEMBLES[config.kind]
+    if ensemble.nested:
         level_graphs, uniforms, conductances = _build_coupled_levels(config)
 
     cells = [(s, t, stat, evaluate) for s in config.s_grid for t in config.t_grid
@@ -374,25 +381,24 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     def run_replica(rep: int):
         out = []
         base = RngStream(config.seed).child(rep)
-        if coupled:
+        if ensemble.nested:
             u, zeta = uniforms(rep), conductances(rep)
         for slot, n in enumerate(config.levels):
             try:
-                if coupled:
+                if ensemble.nested:
                     lg = level_graphs[slot]
-                    net, root = lg.network(zeta), lg.root
-                    traps = law.quantile(u[lg.coupling])
+                    net = lg.network(zeta)
+                    traps = map(float, law.quantile(u[lg.coupling]))
+                    nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, traps)))
                 else:
-                    net = _level_network(config, n, base.child(2, slot))
-                    root = net.root
-                    traps = pareto_sample(law, base.child(3, slot).generator(), net.n_vertices)
-                nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, traps))))
+                    net = ensemble.network(config, n, base.child(2, slot))
+                    nu = sample_trap(net, law, base.child(3, slot))
                 env = TrapEnvironment(net, nu, scales[n])
             except TrapnetsError:
                 out += [(n, rep, s, t, stat, None) for s, t, stat, _ in cells]
                 continue
             for s, t, stat, evaluate in cells:
-                out.append((n, rep, s, t, stat, _cell(evaluate, env, root, s, t)))
+                out.append((n, rep, s, t, stat, _cell(evaluate, env, net.root, s, t)))
             if config.kind == "conductance_path" and rep == 0:
                 # Spatial-truncation diagnostic: the exit-time bound for
                 # leaving the window within the longest probed horizon
@@ -476,13 +482,12 @@ def run_two_point_experiment(config: ExperimentConfig) -> ResultTable:
 # Trap statistics
 # ---------------------------------------------------------------------------
 
-def _default_boxes(space: FiniteMetricSpace, a: float) -> tuple:
-    """(scaled radius, threshold u) pairs spanning the carrier."""
-    scaled = np.sort(space.dist[space.index(space.root)]) / a
-    radii = [float(r) for r in np.quantile(scaled[1:], [0.35, 0.75]) if r > 0] or [1.0]
-    radii.append(float(scaled.max()) + 1.0)
-    thresholds = (0.5, 1.0, 2.0)
-    return tuple((r, u) for r in radii for u in thresholds)
+def _default_boxes(root_row: np.ndarray) -> tuple:
+    """(radius, threshold u) pairs spanning the carrier, from the scaled root distances."""
+    others = np.sort(root_row)[1:]      # the root itself is left out
+    radii = [float(r) for r in np.quantile(others, [0.35, 0.75]) if r > 0] if len(others) else []
+    radii = (radii or [1.0]) + [float(root_row.max()) + 1.0]
+    return tuple((r, u) for r in radii for u in (0.5, 1.0, 2.0))
 
 
 def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
@@ -490,9 +495,9 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
 
     For each configured box A x (u, inf): the empirical void frequency over
     replicas against (1 - P(xi/c > u))^#A, a per-box chi-square p-value, the
-    aggregate chi-square over boxes, and the exact scaling-identity residual.
-    The chi-square laws need independent replicas, so the sobol sampler is
-    refused.
+    aggregate chi-square over boxes, and the scaling-identity residual where
+    the identity holds (c u >= u_min).  The chi-square laws need independent
+    replicas, so the sobol sampler is refused.
     """
     if config.sampler == "sobol":
         raise ConfigError("the traps experiment needs independent replicas, "
@@ -501,18 +506,16 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     table = ResultTable()
     for n in config.levels:
         scale = default_scales(config.kind, n, law)
-        net = _level_network(config, n, RngStream(config.seed).child(7, n))
+        net = _ENSEMBLES[config.kind].network(config, n, RngStream(config.seed).child(7, n))
         space = net.resistance_space
-        boxes = config.boxes or _default_boxes(space, scale.a)
         root_row = space.dist[space.index(space.root)] / scale.a
+        boxes = config.boxes or _default_boxes(root_row)
 
-        masks = []
-        for r, u in boxes:
-            masks.append((np.flatnonzero(ball_mask(root_row, r)), float(u)))
+        masks = [(r, float(u), np.flatnonzero(ball_mask(root_row, r))) for r, u in boxes]
 
         reps = config.replicas
         cells: list = []
-        for box_id, ((idx, u), (r, _)) in enumerate(zip(masks, boxes)):
+        for box_id, (r, u, idx) in enumerate(masks):
             if len(idx) == 0:
                 table.add(n, -1, r, u, "pi_void_empirical", 1.0)
                 continue
@@ -523,14 +526,15 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
             void = np.all(draws <= scale.c * u, axis=1)
             p0 = (1.0 - law.tail(scale.c * u)) ** len(idx)
             _void_rows(table, cells, "pi", n, r, u, int(void.sum()), reps, p0)
-            table.add(n, -1, r, u, "scaling_identity_residual",
-                      law_residual(law, scale, u))
+            residual = _cell(scaling_identity_residual, law, scale.b, u)
+            if residual is not None:
+                table.add(n, -1, r, u, "scaling_identity_residual", residual)
         _aggregate_row(table, cells, "pi", n)
 
         # Truncated PRM against the limit void probabilities.
         prm_rng = RngStream(config.seed).child(9, n)
         cells = []
-        for box_id, ((idx, u), (r, _)) in enumerate(zip(masks, boxes)):
+        for box_id, (r, u, idx) in enumerate(masks):
             if len(idx) == 0 or u < config.prm_floor:
                 continue
             base_mass = len(idx) / scale.b
@@ -568,11 +572,6 @@ def _aggregate_row(table: ResultTable, cells: list, name: str, n) -> None:
                   float(chdtrc(len(cells), sum(cells))))
 
 
-def law_residual(law: TrapLaw, scale: ScaleTriple, u: float) -> float:
-    """b * P(xi / c > u) - u^(-alpha); identically zero for the Pareto tail."""
-    return scale.b * law.tail(scale.c * u) - u ** (-law.alpha)
-
-
 # ---------------------------------------------------------------------------
 # Metric convergence
 # ---------------------------------------------------------------------------
@@ -584,7 +583,7 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
     line); other ensembles are skipped with a report row.
     """
     table = ResultTable()
-    if config.kind not in COUPLED:
+    if not _ENSEMBLES[config.kind].nested:
         table.add(0, -1, 0.0, 0.0, "skipped_no_common_embedding", 1.0)
         return table
     law = config.law()

@@ -238,12 +238,12 @@ def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: float = math.inf)
     return settle(lo)
 
 
-def prohorov_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure, max_support: int = 12) -> float:
-    """Subset-enumeration Prohorov distance; independent cross-check oracle."""
+def prohorov_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Subset-enumeration Prohorov distance on at most 12 atoms in all; a cross-check oracle."""
     _check_same_carrier(mu, nu)
     pa, wa = _atom_arrays(mu)
     pb, wb = _atom_arrays(nu)
-    if len(pa) + len(pb) > max_support:
+    if len(pa) + len(pb) > 12:
         raise TrapnetsError("combined support too large for brute force")
     if not pa and not pb:
         return 0.0

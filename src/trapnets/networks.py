@@ -387,10 +387,10 @@ class EntropyCount:
     exact: bool
 
 
-def metric_entropy(space: FiniteMetricSpace, delta: float, exact_limit: int = 20) -> EntropyCount:
+def metric_entropy(space: FiniteMetricSpace, delta: float) -> EntropyCount:
     """Minimum number of closed delta-balls (centered at points) covering the space.
 
-    Exhaustive set-cover search for at most ``exact_limit`` points, greedy
+    Exhaustive set-cover search for at most 20 points, greedy
     upper bound (flagged) beyond; minimum set cover is NP-hard in general.
     """
     if not delta > 0:
@@ -407,7 +407,7 @@ def metric_entropy(space: FiniteMetricSpace, delta: float, exact_limit: int = 20
         covered |= masks[best]
         greedy += 1
 
-    if n > exact_limit:
+    if n > 20:
         return EntropyCount(greedy, exact=False)
     for k in range(1, greedy):
         for combo in itertools.combinations(range(n), k):

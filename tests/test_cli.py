@@ -185,6 +185,27 @@ class TestResistanceCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_whole_matrix_bytes(self, capsys, tmp_path):
+        path = tmp_path / "g1.json"
+        assert main(["generate", "--ensemble", "sierpinski", "--level", "1",
+                     "--out", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "resistance", "--net", str(path))
+        assert code == 0
+        assert out == (
+            ",0,1,2,3,4,5\n"
+            "0,0,0.611111111111111,1.11111111111111,0.611111111111111,0.833333333333333,"
+            "1.11111111111111\n"
+            "1,0.611111111111111,0,0.611111111111111,0.444444444444444,0.444444444444444,"
+            "0.833333333333333\n"
+            "2,1.11111111111111,0.611111111111111,0,0.833333333333333,0.611111111111111,"
+            "1.11111111111111\n"
+            "3,0.611111111111111,0.444444444444444,0.833333333333333,0,0.444444444444444,"
+            "0.611111111111111\n"
+            "4,0.833333333333333,0.444444444444444,0.611111111111111,0.444444444444444,0,"
+            "0.611111111111111\n"
+            "5,1.11111111111111,0.833333333333333,1.11111111111111,0.611111111111111,"
+            "0.611111111111111,0\n")
+
     def test_boundary(self, capsys, gasket_file):
         code, out, _ = run_cli(capsys, "resistance", "--net", str(gasket_file),
                                "--source", "0", "--boundary", "100.0")
@@ -283,6 +304,19 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path)]) == 1
         assert not (tmp_path / "table.csv").exists()
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["aging", "subaging", "two_point", "traps", "metrics"])
+    @pytest.mark.parametrize("ensemble, levels", [
+        ("sierpinski", [0, 1]), ("conductance_path", [0, 1]),
+        ("cayley_tree", [1, 2]), ("er_component", [2, 3]),
+    ])
+    def test_smallest_accepted_levels_run(self, capsys, tmp_path, experiment, ensemble, levels):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "ensemble": ensemble,
+                                    "levels": levels, "alpha": 0.5, "seed": 0, "replicas": 2}))
+        assert main(["experiment", "--config", str(path),
+                     "--out", str(tmp_path / "table.csv")]) == 0
+        assert (tmp_path / "table.csv").read_text().startswith("n,replica,")
 
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

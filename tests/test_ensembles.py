@@ -58,8 +58,10 @@ class TestSierpinski:
             prev = r
 
     def test_level_too_large(self):
-        with pytest.raises(LevelTooLarge):
-            sierpinski(10)
+        # The message states the range and the value, below it as above it.
+        for n in (10, -1):
+            with pytest.raises(LevelTooLarge, match=f"from 0 to 9, got {n}"):
+                sierpinski(n)
 
     def test_nesting_of_coordinates(self):
         c2 = set(sierpinski(2).coords.values())

@@ -94,6 +94,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}'"):
             gasket_config(**{"ensemble": "er_component", "levels": [40, 80], key: value})
 
+    @pytest.mark.parametrize("kind, levels", [
+        ("sierpinski", [-1, 1]), ("sierpinski", [1, 10]), ("conductance_path", [-1, 1]),
+        ("cayley_tree", [0, 2]), ("er_component", [1, 2]),
+    ])
+    def test_levels_outside_the_kind_range_rejected(self, kind, levels):
+        with pytest.raises(ConfigError, match=f"config key 'levels' must be .* for {kind}"):
+            gasket_config(ensemble=kind, levels=levels)
+
     @pytest.mark.parametrize("key, value", [("replica", 100), ("u_min", 2.0)])
     def test_unknown_keys_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -196,6 +204,35 @@ class TestTrapConvergence:
         table = run_trap_convergence(gasket_config(levels=[1, 2], replicas=2000))
         residuals = [abs(r.value) for r in table.select("scaling_identity_residual")]
         assert residuals and max(residuals) < 1e-12
+
+    @pytest.mark.parametrize("levels, alpha, boxes", [
+        ([0, 1], 0.5, ()),                     # level 0: c = 1, default u = 0.5
+        ([1], 0.99, ((1.0, 0.01), (1.0, 1.0))),
+    ])
+    def test_residual_rows_only_where_the_identity_holds(self, levels, alpha, boxes):
+        # The identity b P(xi / c > u) = u^(-alpha) needs c u >= u_min; a box
+        # below that gets void rows but no residual row.
+        cfg = gasket_config(levels=levels, alpha=alpha, replicas=20, boxes=boxes)
+        table = run_trap_convergence(cfg)
+        rows = table.select("scaling_identity_residual")
+        assert rows and max(abs(r.value) for r in rows) < 1e-12
+        law = cfg.law()
+        left_out = 0
+        for n in levels:
+            c = default_scales("sierpinski", n, law).c
+            written = {r.t for r in rows if r.n == n}
+            probed = {r.t for r in table.select("pi_void_expected") if r.n == n}
+            assert written == {u for u in probed if c * u >= law.u_min}
+            left_out += len(probed - written)
+        assert left_out
+
+    @pytest.mark.parametrize("kind, levels", [("cayley_tree", [1, 2]), ("er_component", [2, 3])])
+    def test_one_vertex_level_gets_default_boxes(self, kind, levels):
+        # Level 1 of the tree, and the largest component of G(2, 1/2) at seed
+        # 0, are single vertices: no other point gives a default radius.
+        cfg = gasket_config(ensemble=kind, levels=levels, seed=0, replicas=20)
+        table = run_trap_convergence(cfg)
+        assert {r.n for r in table.select("pi_void_empirical")} == set(levels)
 
     def test_void_pvalues_not_systematically_rejected(self):
         table = run_trap_convergence(gasket_config(levels=[2], replicas=4000))
