@@ -114,7 +114,8 @@ class Generator:
     A call at time t takes exp(Q t) when t^2 <= |M|_F / |S|, where the two
     models cross up to the constant 4e^(-2), and the Green's operator
     otherwise.  A network whose grounded factorization fails has |M|
-    infinite and always takes exp(Q t).  The modes of M go back to P_t
+    infinite and always takes exp(Q t); traps whose |M|_F^2 overflows raise
+    :class:`NumericalFailure`.  The modes of M go back to P_t
     through D^(-1/2) and D^(1/2), which can amplify rounding in the
     eigenvectors by up to (nu(V) / min nu)^(1/2).  Every call therefore
     checks its kernels at time t: the largest row-sum residual
@@ -153,8 +154,9 @@ class Generator:
 
     def __init__(self, net: ElectricalNetwork, nu: DiscreteMeasure):
         for v in net.vertex_ids:
-            if nu.atoms.get(v, 0.0) <= 0.0:
-                raise SupportMismatch(f"nu must charge every vertex; {v!r} missing")
+            if not 0.0 < nu.atoms.get(v, 0.0) < math.inf:
+                raise SupportMismatch(f"nu must give every vertex a finite positive mass; "
+                                      f"{v!r} has {nu.atoms.get(v)!r}")
         extra = set(nu.atoms) - set(net.vertex_ids)
         if extra:
             raise SupportMismatch(f"nu charges non-vertices {sorted(map(repr, extra))}")
@@ -218,11 +220,16 @@ class Generator:
         green += root_grounded[z, z]
         n_u = sqrt_nu * (green @ (sqrt_nu * u))
         u_n_u = float(u @ n_u)
-        n_frobenius = float(nu @ (green * green) @ nu)
+        try:
+            with np.errstate(over="raise"):
+                n_frobenius = float(nu @ (green * green) @ nu)
+                # |M|_F^2 = |N|_F^2 - 2 |N u|^2 + (u.N u)^2.
+                frobenius = n_frobenius - 2.0 * (n_u @ n_u) + u_n_u ** 2
+        except (FloatingPointError, OverflowError) as exc:
+            raise NumericalFailure(f"|M|_F^2 overflows: traps up to {nu.max():.3e}") from exc
         n_trace = float(nu @ np.diag(green))
-        # |M|_F^2 = |N|_F^2 - 2 |N u|^2 + (u.N u)^2 and trace M = trace N - u.N u.
-        return _Green(green, u, n_u, n_frobenius - 2.0 * (n_u @ n_u) + u_n_u ** 2,
-                      n_trace - u_n_u, n_frobenius, n_trace)
+        # trace M = trace N - u.N u.
+        return _Green(green, u, n_u, frobenius, n_trace - u_n_u, n_frobenius, n_trace)
 
     def _green_record(self, rest: float, theta: np.ndarray, vecs: np.ndarray) -> _GreenModes:
         """Modes theta = 1/lambda of M plus the stationary one, certified from

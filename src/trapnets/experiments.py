@@ -7,12 +7,12 @@ rule.  Runners emit flat result tables with one row per statistic; all
 randomness flows through (seed, stream) pairs so reruns are bit-identical
 regardless of worker scheduling.
 
-Each ensemble kind's row of ``_ENSEMBLES`` gives its space and mass
-normalizations, the levels it builds, whether its levels nest, and the
-network of an independent draw.  Nested kinds get their level graphs and
-each replica's coupled trap uniforms and conductances from
-``_build_coupled_levels``.  The two-point runner maps its replicas over one
-thread pool of ``workers`` threads and collects them in replica order.
+Each ensemble kind's row of ``_ENSEMBLES`` owns every decision that
+depends on the kind.  A nested kind (gasket, path) has a level builder,
+which places each vertex at a site of the top level; built with top = n it
+is also the kind's independent draw.  The two-point runner takes each
+replica's levels from one draw, maps its replicas over one thread pool of
+``workers`` threads and collects them in replica order.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,26 +56,66 @@ from .serialize import csv_text, format_value
 
 
 @dataclass(frozen=True)
+class _LevelGraph:
+    network: Callable     # stream -> the level's network (the stream draws path conductances)
+    root: object
+    coords: dict          # vertex -> scaled position, in vertex order
+    sites: list           # each vertex's site on the top level, in vertex order
+
+
+def _gasket_level(config, n: int, top: int) -> _LevelGraph:
+    """Gasket level n; its sites are lattice points of level ``top``."""
+    g, scale = sierpinski(n), 2 ** (top - n)
+    # sierpinski numbers its vertices in the order of its coords and lattice.
+    return _LevelGraph(lambda stream: g.network, g.network.root, g.coords,
+                       [(a * scale, b * scale) for a, b in g.lattice.values()])
+
+
+def _path_level(config, n: int, top: int) -> _LevelGraph:
+    """Path window 2^n; its sites are integer points of window 2^top, and its
+    network cuts the window out of the stream's conductances for the top window."""
+    law = UniformConductanceLaw(*config.path_bounds)
+    window, offset = 2 ** n, 2 ** top - 2 ** n
+
+    def network(stream):
+        zeta = law.sample(stream.generator(), 2 * 2 ** top)
+        return conductance_path(window, law, None, values=zeta[offset:offset + 2 * window]).network
+
+    vertices = range(-window, window + 1)
+    return _LevelGraph(network, 0, {i: (i / window,) for i in vertices},
+                       [i * 2 ** (top - n) for i in vertices])
+
+
+def _er_edge_probabilities(config) -> None:
+    for n in config.levels:
+        p = er_edge_probability(n, config.lam)
+        if not 0 < p < 1:
+            raise ConfigError(f"config key 'lambda' gives edge probability {p} "
+                              f"outside (0, 1) at level {n}")
+
+
+@dataclass(frozen=True)
 class _Ensemble:
-    scales: Callable      # level n -> space and mass normalizations (a, b)
-    levels: tuple         # lowest and highest level it builds
-    nested: bool          # levels nest, so replicas share trap uniforms across them
-    network: Callable     # (config, n, stream) -> network of an independent draw
+    scales: Callable                # level n -> space and mass normalizations (a, b)
+    levels: tuple                   # lowest and highest level it builds
+    network: Callable | None = None  # other kinds: (config, n, stream) -> independent draw
+    level: Callable | None = None   # nested kinds: (config, n, top) -> _LevelGraph
+    check: Callable = lambda config: None  # config -> None; raises ConfigError
+    window_exit_bound: bool = False  # the two-point runner adds window-exit rows
 
 
 _ENSEMBLES = {
-    "sierpinski": _Ensemble(lambda n: ((5.0 / 3.0) ** n, 3.0 ** n), GASKET_LEVELS, True,
-                            lambda config, n, stream: sierpinski(n).network),
-    "conductance_path": _Ensemble(
-        lambda n: (2.0 ** n, 2.0 ** n), (0, math.inf), True,
-        lambda config, n, stream: conductance_path(
-            2 ** n, UniformConductanceLaw(*config.path_bounds), stream).network),
+    "sierpinski": _Ensemble(lambda n: ((5.0 / 3.0) ** n, 3.0 ** n), GASKET_LEVELS,
+                            level=_gasket_level),
+    "conductance_path": _Ensemble(lambda n: (2.0 ** n, 2.0 ** n), (0, math.inf),
+                                  level=_path_level, window_exit_bound=True),
     "cayley_tree": _Ensemble(
-        lambda n: (float(n) ** 0.5, float(n)), (1, math.inf), False,
+        lambda n: (float(n) ** 0.5, float(n)), (1, math.inf),
         lambda config, n, stream: as_plane_tree(uniform_cayley_tree(n, stream), n).network()),
     "er_component": _Ensemble(
-        lambda n: (float(n) ** (1.0 / 3.0), float(n) ** (2.0 / 3.0)), (2, math.inf), False,
-        lambda config, n, stream: er_largest_component(n, config.lam, stream)),
+        lambda n: (float(n) ** (1.0 / 3.0), float(n) ** (2.0 / 3.0)), (2, math.inf),
+        lambda config, n, stream: er_largest_component(n, config.lam, stream),
+        check=_er_edge_probabilities),
 }
 KINDS = tuple(_ENSEMBLES)
 
@@ -111,7 +152,8 @@ class ExperimentConfig:
         """Config from its JSON object; a missing key keeps its field's default.
 
         Each key's own rule is checked by its row of ``_CONFIG_KEYS``; the
-        rules checked here read two keys.
+        rules checked here read two keys, and the ensemble's row checks its
+        own.
         """
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -125,19 +167,20 @@ class ExperimentConfig:
             if name in _REQUIRED and name not in values:
                 raise ConfigError(f"config missing field {key!r}")
         config = ExperimentConfig(**values)
-        low, high = _ENSEMBLES[config.kind].levels
+        ensemble = _ENSEMBLES[config.kind]
+        low, high = ensemble.levels
         if not all(low <= n <= high for n in config.levels):
             span = f">= {low}" if high == math.inf else f"from {low} to {high}"
             raise ConfigError(f"config key 'levels' must be {span} for {config.kind}, "
                               f"got {list(config.levels)}")
-        if config.sampler == "sobol" and not _ENSEMBLES[config.kind].nested:
-            raise ConfigError("the sobol sampler needs a nested ensemble")
-        if config.kind == "er_component":
-            for n in config.levels:
-                p = er_edge_probability(n, config.lam)
-                if not 0 < p < 1:
-                    raise ConfigError(f"config key 'lambda' gives edge probability {p} "
-                                      f"outside (0, 1) at level {n}")
+        if config.sampler == "sobol":
+            if ensemble.level is None:
+                raise ConfigError("the sobol sampler needs a nested ensemble")
+            # Sobol points keep their balance only in runs of 2^k.
+            if config.replicas & (config.replicas - 1):
+                raise ConfigError("config key 'replicas' must be a power of 2 under the "
+                                  f"sobol sampler, got {config.replicas}")
+        ensemble.check(config)
         return config
 
     def law(self) -> TrapLaw:
@@ -277,84 +320,36 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator, n_boot: int = 400
 # Ensemble construction with coupled trap uniforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LevelGraph:
-    network: Callable             # shared conductances -> the level's network
-    root: object
-    coords: dict                  # vertex -> scaled position, in vertex order
-    coupling: np.ndarray          # index of each vertex in the coupling table
-
-
 def _build_coupled_levels(config: ExperimentConfig):
-    """Level graphs of a nested ensemble, and each replica's coupled draws.
+    """Level graphs of a nested ensemble, and each replica's coupled traps.
 
-    Gasket and path levels nest: every vertex sits at a position of the top
-    level, and each position gets one key (numbered in level order, then
-    vertex order), so a replica's trap uniforms are shared across levels.
-    Gasket networks are fixed; path networks cut their window out of one
-    draw of conductances per integer edge of the top window.  Returns the
-    level graphs and two functions of the replica index: its trap uniforms
-    in (0, 1], one per key, and its shared conductances (None for the
-    gasket).  The uniforms are a Sobol row under the sobol sampler, and
-    otherwise come from the replica's stream ``child(rep, 0)``.
+    Each site of the top level gets one key (numbered in level order, then
+    vertex order), so a replica's trap uniforms in (0, 1] are shared across
+    levels.  Returns the level graphs and a function of the replica index:
+    its traps at each level, in vertex order.  The uniforms come from the
+    replica's stream ``child(rep, 0)``, or under the sobol sampler from a row
+    of scrambled low-discrepancy points, whose annealed means converge faster.
     """
-    law = UniformConductanceLaw(*config.path_bounds)
-    top = max(config.levels)
+    law, top = config.law(), max(config.levels)
+    graphs = [_ENSEMBLES[config.kind].level(config, n, top) for n in config.levels]
     keys: dict = {}
-    out = []
-    for n in config.levels:
-        scale = 2 ** (top - n)
-        if config.kind == "sierpinski":
-            g = sierpinski(n)
-            vertices = g.network.vertex_ids
-            positions = [(g.lattice[v][0] * scale, g.lattice[v][1] * scale) for v in vertices]
-            coords = {v: g.coords[v] for v in vertices}
-            root = g.network.root
-
-            def network(zeta, net=g.network):
-                return net
-        else:
-            window = 2 ** n
-            offset = 2 ** top - window
-            vertices = range(-window, window + 1)
-            positions = [i * scale for i in vertices]
-            coords = {i: (i / 2.0 ** n,) for i in vertices}
-            root = 0
-
-            def network(zeta, w=window, o=offset):
-                return conductance_path(w, law, None, values=zeta[o:o + 2 * w]).network
-        coupling = np.array([keys.setdefault(p, len(keys)) for p in positions])
-        out.append(_LevelGraph(network, root, coords, coupling))
-    streams = RngStream(config.seed)
+    couplings = [np.array([keys.setdefault(site, len(keys)) for site in g.sites])
+                 for g in graphs]
     if config.sampler == "sobol":
-        sobol = 1.0 - _sobol_uniforms(config, len(keys))
+        # Imported here: scipy.stats takes most of a second to import, and
+        # only sobol configs need it.
+        from scipy.stats import qmc
 
-        def uniforms(rep):
-            return sobol[rep]
-    else:
-        def uniforms(rep):
-            return 1.0 - streams.child(rep, 0).generator().random(len(keys))
-    if config.kind == "sierpinski":
-        return out, uniforms, lambda rep: None
-    return out, uniforms, lambda rep: law.sample(streams.child(rep, 1).generator(), 2 * 2 ** top)
+        stream = RngStream(config.seed).child(42)
+        seed_seq = np.random.SeedSequence([stream.seed & (2**63 - 1), stream.stream])
+        rng = np.random.Generator(np.random.Philox(seed_seq))
+        sobol = 1.0 - qmc.Sobol(d=len(keys), scramble=True, seed=rng).random(config.replicas)
 
-
-def _sobol_uniforms(config: ExperimentConfig, n_keys: int) -> np.ndarray:
-    """Scrambled low-discrepancy uniforms, one row per replica.
-
-    Rows are shared across levels exactly like the plain coupled streams, so
-    the stabilization diagnostics keep their common-random-number structure
-    while the annealed means converge much faster than plain Monte Carlo.
-    """
-    # Imported here: scipy.stats takes most of a second to import, and only
-    # sobol configs need it.
-    from scipy.stats import qmc
-
-    stream = RngStream(config.seed).child(42)
-    seed_seq = np.random.SeedSequence([stream.seed & (2**63 - 1), stream.stream])
-    sampler = qmc.Sobol(d=n_keys, scramble=True,
-                        seed=np.random.Generator(np.random.Philox(seed_seq)))
-    return sampler.random(config.replicas)
+    def traps(rep):
+        u = (sobol[rep] if config.sampler == "sobol"
+             else 1.0 - RngStream(config.seed).child(rep, 0).generator().random(len(keys)))
+        return [law.quantile(u[c]) for c in couplings]
+    return graphs, traps
 
 
 def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable:
@@ -368,42 +363,24 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     all of its cells.  A stabilization diff compares two consecutive levels
     of the config, and is left out unless both have annealed means.
     """
-    law = config.law()
     table = ResultTable()
-    scales = {n: default_scales(config.kind, n, law) for n in config.levels}
-    ensemble = _ENSEMBLES[config.kind]
-    if ensemble.nested:
-        level_graphs, uniforms, conductances = _build_coupled_levels(config)
-
+    scales = {n: default_scales(config.kind, n, config.law()) for n in config.levels}
+    replica_levels = _replica_levels(config)
     cells = [(s, t, stat, evaluate) for s in config.s_grid for t in config.t_grid
              for stat, evaluate in evaluators.items()]
 
     def run_replica(rep: int):
         out = []
-        base = RngStream(config.seed).child(rep)
-        if ensemble.nested:
-            u, zeta = uniforms(rep), conductances(rep)
+        level = replica_levels(rep)
         for slot, n in enumerate(config.levels):
             try:
-                if ensemble.nested:
-                    lg = level_graphs[slot]
-                    net = lg.network(zeta)
-                    traps = map(float, law.quantile(u[lg.coupling]))
-                    nu = DiscreteMeasure(None, dict(zip(net.vertex_ids, traps)))
-                else:
-                    net = ensemble.network(config, n, base.child(2, slot))
-                    nu = sample_trap(net, law, base.child(3, slot))
-                env = TrapEnvironment(net, nu, scales[n])
+                env = TrapEnvironment(*level(slot), scales[n])
             except TrapnetsError:
                 out += [(n, rep, s, t, stat, None) for s, t, stat, _ in cells]
                 continue
             for s, t, stat, evaluate in cells:
-                out.append((n, rep, s, t, stat, _cell(evaluate, env, net.root, s, t)))
-            if config.kind == "conductance_path" and rep == 0:
-                # Spatial-truncation diagnostic: the exit-time bound for
-                # leaving the window within the longest probed horizon
-                # certifies (heuristically) that the finite path stands
-                # in for the infinite one when it is well below 1e-3.
+                out.append((n, rep, s, t, stat, _cell(evaluate, env, env.network.root, s, t)))
+            if _ENSEMBLES[config.kind].window_exit_bound and rep == 0:
                 out.append((n, rep, 0.0, 0.0, "window_exit_bound",
                             _cell(_window_exit_bound, env, config)))
         return out
@@ -444,6 +421,25 @@ def _two_point_runner(config: ExperimentConfig, evaluators: dict) -> ResultTable
     return table
 
 
+def _replica_levels(config: ExperimentConfig):
+    """One draw per replica: replica index -> (level slot -> the level's
+    network and trap measure).  Nested networks come from the replica's
+    stream ``child(rep, 1)``; other kinds draw each level's network from
+    ``child(rep, 2, slot)`` and its traps from ``child(rep, 3, slot)``."""
+    law, streams, ensemble = config.law(), RngStream(config.seed), _ENSEMBLES[config.kind]
+    if ensemble.level is None:
+        def independent(rep, slot):
+            net = ensemble.network(config, config.levels[slot], streams.child(rep, 2, slot))
+            return net, sample_trap(net, law, streams.child(rep, 3, slot))
+        return lambda rep: partial(independent, rep)
+    graphs, traps = _build_coupled_levels(config)
+
+    def coupled(stream, xi, slot):
+        net = graphs[slot].network(stream)
+        return net, DiscreteMeasure(None, dict(zip(net.vertex_ids, map(float, xi[slot]))))
+    return lambda rep: partial(coupled, streams.child(rep, 1), traps(rep))
+
+
 def _cell(evaluate, *args):
     """evaluate(*args), or None when it raises a :class:`TrapnetsError`."""
     try:
@@ -453,7 +449,9 @@ def _cell(evaluate, *args):
 
 
 def _window_exit_bound(env, config: ExperimentConfig) -> float:
-    """Exit bound for leaving the truncated path window over the probed horizon."""
+    """Spatial-truncation diagnostic: the exit-time bound for leaving the path
+    window within the longest probed horizon.  Well below 1e-3, it certifies
+    (heuristically) that the finite path stands in for the infinite one."""
     net = env.network
     row = net.resistance_matrix[net.index(net.root)]
     r = float(min(row[0], row[-1]))  # vertex order is -window .. window
@@ -506,7 +504,10 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     table = ResultTable()
     for n in config.levels:
         scale = default_scales(config.kind, n, law)
-        net = _ENSEMBLES[config.kind].network(config, n, RngStream(config.seed).child(7, n))
+        ensemble, stream = _ENSEMBLES[config.kind], RngStream(config.seed).child(7, n)
+        # A nested kind's independent draw is its level built with top n.
+        net = (ensemble.network(config, n, stream) if ensemble.level is None
+               else ensemble.level(config, n, n).network(stream))
         space = net.resistance_space
         root_row = space.dist[space.index(space.root)] / scale.a
         boxes = config.boxes or _default_boxes(root_row)
@@ -583,12 +584,11 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
     line); other ensembles are skipped with a report row.
     """
     table = ResultTable()
-    if not _ENSEMBLES[config.kind].nested:
+    if _ENSEMBLES[config.kind].level is None:
         table.add(0, -1, 0.0, 0.0, "skipped_no_common_embedding", 1.0)
         return table
-    law = config.law()
-    level_graphs, uniforms, _ = _build_coupled_levels(config)
-    scales = [default_scales(config.kind, n, law) for n in config.levels]
+    level_graphs, traps = _build_coupled_levels(config)
+    scales = [default_scales(config.kind, n, config.law()) for n in config.levels]
 
     # Common carrier: union of scaled coordinates over all levels.
     all_pts = sorted({c for lg in level_graphs for c in lg.coords.values()})
@@ -604,10 +604,9 @@ def run_metric_convergence(config: ExperimentConfig) -> ResultTable:
         table.add(m, -1, 0.0, 0.0, "vertex_local_hausdorff",
                   local_hausdorff(points[slot], points[slot + 1], carrier))
         for rep in range(config.replicas):
-            u = uniforms(rep)
-            measures = []
-            for s in (slot, slot + 1):
-                traps = law.quantile(u[level_graphs[s].coupling]) / scales[s].c
-                measures.append(DiscreteMeasure(carrier, dict(zip(points[s], map(float, traps)))))
+            xi = traps(rep)
+            measures = [DiscreteMeasure(carrier, dict(zip(points[s],
+                                                          map(float, xi[s] / scales[s].c))))
+                        for s in (slot, slot + 1)]
             table.add(m, rep, 0.0, 0.0, "trap_dmdis", dis_measure_distance(*measures))
     return table

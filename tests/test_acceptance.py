@@ -162,16 +162,22 @@ def _small_network_family():
 
 def test_criterion_6_dynamics_oracle_equivalence():
     """Gillespie marginals vs spectral kernels at 1e5 paths, 3 sigma per state;
-    two-state aging and sub-aging against the scalar closed forms at 1e-10."""
+    two-state aging and sub-aging against the scalar closed forms at 1e-10.
+
+    The streams are keyed on each network's place in the family, so every run
+    draws the same paths.  The bound is the largest |z| over the family's 23
+    states: a correct program exceeds 3 at one state with probability 0.27%,
+    so the check fails for about 1 - 0.9973^23 = 6% of stream keys.
+    """
     t0 = time.monotonic()
     ok = True
     worst_z = 0.0
     n_paths = 100_000
-    for name, net in _small_network_family().items():
-        env = tn.make_environment(net, TrapLaw(0.5), 1.0, 2.0, RngStream(hash(name) % 1000))
+    for place, net in enumerate(_small_network_family().values()):
+        env = tn.make_environment(net, TrapLaw(0.5), 1.0, 2.0, RngStream(place))
         t_probe = 0.8
         emp = simulate_marginal(env.generator, net.root, t_probe,
-                                RngStream(1007).child(hash(name) % 997), n_paths)
+                                RngStream(1007).child(place), n_paths)
         exact = env.generator.kernel_row(net.root, t_probe)
         sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n_paths)
         z = float(np.max(np.abs(emp - exact) / np.maximum(sigma, 1e-9)))

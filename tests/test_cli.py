@@ -318,6 +318,23 @@ class TestExperimentCommand:
                      "--out", str(tmp_path / "table.csv")]) == 0
         assert (tmp_path / "table.csv").read_text().startswith("n,replica,")
 
+    def test_small_alpha_overflow_counts_failures(self, tmp_path):
+        # At alpha 0.01 traps reach the float range: infinite traps and
+        # overflowing norms are counted as failures, not raised.  A subprocess
+        # keeps numpy's overflow warnings from turning into test errors.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "two_point", "ensemble": "sierpinski",
+                                    "levels": [1, 2, 3, 4], "alpha": 0.01, "seed": 3,
+                                    "replicas": 20, "out": str(tmp_path / "table.csv")}))
+        src = str(Path(trapnets.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "trapnets", "experiment", "--config",
+                               str(path)], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "replica failures" in done.stderr
+        assert (tmp_path / "table.csv").read_text().startswith("n,replica,")
+
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "nope", "ensemble": "sierpinski",

@@ -71,6 +71,20 @@ class TestGenerator:
         with pytest.raises(SupportMismatch):
             Generator(unit_path3, DiscreteMeasure(None, {1: 1.0, 2: 1.0}))
 
+    def test_infinite_trap_refused(self, unit_path3):
+        # TrapLaw.quantile gives inf for u below 10^(-308 alpha).
+        with pytest.raises(SupportMismatch, match="finite"):
+            Generator(unit_path3, DiscreteMeasure(None, {1: 1.0, 2: math.inf, 3: 1.0}))
+
+    def test_green_norm_overflow_raises_numerical_failure(self):
+        # Traps near 1e160 put |M|_F^2 past the float range.
+        net = sierpinski(2).network
+        atoms = {v: 2.0 for v in net.vertex_ids}
+        atoms[3], atoms[5] = 1e160, 1e160 / 3
+        gen = Generator(net, DiscreteMeasure(None, atoms))
+        with pytest.raises(NumericalFailure, match="overflows"):
+            aging_phi(gen, net.root, 1e3, 2e3)
+
 
 class TestTransitionKernel:
     def test_time_zero_identity(self):

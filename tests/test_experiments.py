@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from trapnets.ensembles import sierpinski
+from trapnets.ensembles import UniformConductanceLaw, conductance_path, sierpinski
 from trapnets.errors import ConfigError
 from trapnets.experiments import (
+    _ENSEMBLES,
     ExperimentConfig,
     ResultTable,
     bootstrap_ci,
@@ -20,6 +21,7 @@ from trapnets.experiments import (
 )
 from trapnets.networks import ball_tolerance
 from trapnets.rng import RngStream
+from trapnets.serialize import network_to_json
 from trapnets.traps import TrapLaw
 
 
@@ -42,6 +44,14 @@ class TestConfig:
             gasket_config(replicas=0)
         with pytest.raises(ConfigError):
             gasket_config(sampler="sobol", ensemble="er_component", levels=[100])
+
+    def test_sobol_needs_power_of_two_replicas(self):
+        # Sobol points keep their balance only in runs of 2^k.
+        for replicas in (3, 12):
+            with pytest.raises(ConfigError, match="config key 'replicas'"):
+                gasket_config(sampler="sobol", replicas=replicas)
+        for replicas in (1, 2, 16):
+            assert gasket_config(sampler="sobol", replicas=replicas).replicas == replicas
 
     @pytest.mark.parametrize("field, value", [
         ("t_grid", [-1.0]), ("t_grid", [2.0, 0.0]), ("t_grid", [float("nan")]),
@@ -116,6 +126,29 @@ class TestConfig:
         s = default_scales("er_component", 1000, law)
         assert s.a == pytest.approx(10.0)
         assert s.b == pytest.approx(100.0)
+
+
+class TestNestedLevels:
+    @pytest.mark.parametrize("kind", ["sierpinski", "conductance_path"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_level_sites_nest(self, kind, n):
+        config = gasket_config(ensemble=kind, levels=[n, n + 1])
+        low, high = (_ENSEMBLES[kind].level(config, m, 4) for m in (n, n + 1))
+        position = dict(zip(high.sites, high.coords.values()))
+        assert set(low.sites) <= set(position)
+        # A shared site has one scaled position at both levels.
+        assert all(position[site] == c for site, c in zip(low.sites, low.coords.values()))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_independent_draw_is_the_level_with_top_n(self, n):
+        config = gasket_config(ensemble="conductance_path", levels=[n])
+        stream = RngStream(31).child(n)
+        law = UniformConductanceLaw(*config.path_bounds)
+        built = _ENSEMBLES["conductance_path"].level(config, n, n).network(stream)
+        assert network_to_json(built) == network_to_json(conductance_path(2 ** n, law,
+                                                                          stream).network)
+        built = _ENSEMBLES["sierpinski"].level(config, n, n).network(stream)
+        assert network_to_json(built) == network_to_json(sierpinski(n).network)
 
 
 class TestResultTable:
