@@ -183,9 +183,12 @@ class Generator:
         (The benchmark tracer in ``perfbench/spans.py`` times this method by
         its name.)
         """
+        # The a-priori part of the bound alone can refuse t; check it first
+        # so a refused call does not form the exponential.
+        bound = np.finfo(float).eps * self._generator_norm * t
+        _check(bound, t)
         kernel = scipy.linalg.expm(self.matrix * t)
-        _check(np.finfo(float).eps * self._generator_norm * t
-               + float(np.max(np.abs(kernel.sum(axis=1) - 1.0))), t)
+        _check(bound + float(np.max(np.abs(kernel.sum(axis=1) - 1.0))), t)
         return kernel
 
     @cached_property
@@ -193,7 +196,8 @@ class Generator:
         """Gershgorin bound on |S|_2: the largest absolute row sum of S."""
         nu, n = self.nu_values, self.net.n_vertices
         iu, iv, w = self.net.edge_arrays
-        off = w / np.sqrt(nu[iu] * nu[iv])
+        sqrt_nu = np.sqrt(nu)
+        off = w / (sqrt_nu[iu] * sqrt_nu[iv])
         rows = (self.net.total_conductance_vector / nu
                 + np.bincount(iu, off, n) + np.bincount(iv, off, n))
         return float(rows.max())

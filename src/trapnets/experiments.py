@@ -496,6 +496,12 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     aggregate chi-square over boxes, and the scaling-identity residual where
     the identity holds (c u >= u_min).  The chi-square laws need independent
     replicas, so the sobol sampler is refused.
+
+    Each side draws one stream per box, ``child(8, n, box)`` for the traps
+    and ``child(9, n, box)`` for the PRM, and the box's replicas take
+    consecutive draws from it in replica order.  Distinct boxes have
+    distinct streams, so the per-box chi-square cells are independent and
+    the aggregate statistic has its nominal law.
     """
     if config.sampler == "sobol":
         raise ConfigError("the traps experiment needs independent replicas, "
@@ -533,17 +539,16 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
         _aggregate_row(table, cells, "pi", n)
 
         # Truncated PRM against the limit void probabilities.
-        prm_rng = RngStream(config.seed).child(9, n)
         cells = []
         for box_id, (r, u, idx) in enumerate(masks):
             if len(idx) == 0 or u < config.prm_floor:
                 continue
             base_mass = len(idx) / scale.b
             base = DiscreteMeasure(space, {space.point_ids[i]: 1.0 / scale.b for i in idx})
+            rng = RngStream(config.seed).child(9, n, box_id).generator()
             observed = 0
-            for rep in range(reps):
-                pi = truncated_prm(base, config.alpha, config.prm_floor,
-                                   prm_rng.child(box_id, rep))
+            for _ in range(reps):
+                pi = truncated_prm(base, config.alpha, config.prm_floor, rng)
                 if all(w <= u for _, w in pi.atoms):
                     observed += 1
             p0 = math.exp(-base_mass * u ** (-config.alpha))

@@ -47,8 +47,13 @@ class TrapLaw:
         return (u / self.u_min) ** (-self.alpha)
 
     def quantile(self, u: np.ndarray | float):
-        """Inverse tail: value at upper-tail probability ``u`` in (0, 1]."""
-        return self.u_min * np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
+        """Inverse tail: value at upper-tail probability ``u`` in (0, 1].
+
+        Gives ``inf`` without a warning where the value passes the float
+        range (u below about 10^(-308 alpha)); ``Generator`` refuses such traps.
+        """
+        with np.errstate(over="ignore"):
+            return self.u_min * np.asarray(u, dtype=float) ** (-1.0 / self.alpha)
 
 
 def pareto_sample(law: TrapLaw, rng: np.random.Generator, size=None):
@@ -132,6 +137,11 @@ def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
     exp(-base(A) u^(-alpha)) exactly for every u >= v_floor.  The result
     lives on ``ProductCarrier(base.carrier)`` with one unit of weight per
     draw at each (x, v), so ``total()`` counts the draws.
+
+    Draw order: one ``poisson`` call over the base atoms in insertion order,
+    then one ``random(total count)`` block whose uniforms go to the atoms in
+    that order, ``count(x)`` consecutive uniforms to atom x.  A caller that
+    passes a numpy generator sees exactly these two calls.
     """
     if not v_floor > 0:
         raise InvalidTruncation("v_floor must be positive")
@@ -139,13 +149,13 @@ def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
         raise TrapnetsError("alpha must lie in (0, 1)")
     carrier = ProductCarrier(base.carrier)
     rng = as_generator(rng_or_stream)
-    rate = v_floor ** (-alpha)
+    points = list(base.atoms)
+    masses = np.fromiter(base.atoms.values(), dtype=float, count=len(points))
+    counts = rng.poisson(masses * v_floor ** (-alpha))
+    weights = v_floor * (1.0 - rng.random(int(counts.sum()))) ** (-1.0 / alpha)
+    owners = np.repeat(np.arange(len(points)), counts)
     atoms: dict = {}
-    for p, mass in base.atoms.items():
-        count = int(rng.poisson(mass * rate))
-        if count:
-            u = 1.0 - rng.random(count)
-            for v in v_floor * u ** (-1.0 / alpha):
-                atom = (p, float(v))
-                atoms[atom] = atoms.get(atom, 0.0) + 1.0
+    for i, v in zip(owners.tolist(), weights.tolist()):
+        atom = (points[i], v)
+        atoms[atom] = atoms.get(atom, 0.0) + 1.0
     return DiscreteMeasure(carrier, atoms)

@@ -320,8 +320,8 @@ class TestExperimentCommand:
 
     def test_small_alpha_overflow_counts_failures(self, tmp_path):
         # At alpha 0.01 traps reach the float range: infinite traps and
-        # overflowing norms are counted as failures, not raised.  A subprocess
-        # keeps numpy's overflow warnings from turning into test errors.
+        # overflowing norms are counted as failures, not raised, and print no
+        # numpy warning.  A subprocess shows what a user would see on stderr.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "two_point", "ensemble": "sierpinski",
                                     "levels": [1, 2, 3, 4], "alpha": 0.01, "seed": 3,
@@ -332,6 +332,7 @@ class TestExperimentCommand:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         assert "replica failures" in done.stderr
         assert (tmp_path / "table.csv").read_text().startswith("n,replica,")
 

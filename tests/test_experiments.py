@@ -268,6 +268,8 @@ class TestTrapConvergence:
         assert {r.n for r in table.select("pi_void_empirical")} == set(levels)
 
     def test_void_pvalues_not_systematically_rejected(self):
+        """Two aggregate p-values above 0.01: false-failure rate about 2%.
+        Run at seeds 9-108 it failed at 2 of 100 (none of the first 20)."""
         table = run_trap_convergence(gasket_config(levels=[2], replicas=4000))
         agg = [r.value for r in table.select("pi_void_aggregate_pvalue")]
         assert agg and all(p > 0.01 for p in agg)
@@ -501,13 +503,13 @@ PINNED_DIGESTS = {
     ("two_point", "er_component", "mc"):
         "95ab6cd4598b73af59df7e5398743f4b7993afc19b746e5a6fa803b737717be0",
     ("traps", "sierpinski", "mc"):
-        "9cd58d6ea12a017dcc227d8b8ec820645418ff415cf9a4e8312eb85d2cd48577",
+        "63c10bc1a6a0c54b558d5e502f9f19651b7c72d0a651133e3f38d253f63afd07",
     ("traps", "conductance_path", "mc"):
-        "83d41ae9639e811d69e04b9073fbff5017b6bd2a029818079daa208309d99730",
+        "3d8d7783de72c59067532d2af587cb74be2c08ef481857fc4a988e2888de1925",
     ("traps", "cayley_tree", "mc"):
-        "48086ca2f61e77ec7e783b34341766e2721cb1c2345d8114cde68b8c7bf1342c",
+        "db235696150167f02fe4b489f2986c66eed309fa9c06eee30ecc22816ee57310",
     ("traps", "er_component", "mc"):
-        "1efe639c79caab2f2af12de5e8f55a23a2dddcca9fd1d5c486b7c3c28e448f43",
+        "d0a18614ec9b9c2fb0b3c05bb106478dbbf087ac7873b3a5bb665ca0bca6fcfb",
     ("metrics", "sierpinski", "mc"):
         "e5050c76ff302febd0cdfec98377eba9ded0db4b9adf9f5f21ed177b98d5aec9",
     ("metrics", "conductance_path", "mc"):

@@ -112,6 +112,8 @@ class TestTrapEnvironment:
 
 class TestTruncatedPRM:
     def test_expected_atom_count(self):
+        """Mean total count within 3 sigma: false-failure rate about 0.3%;
+        no failure at 100 seeds."""
         space = line_space([0.0, 1.0])
         base = DiscreteMeasure(space, {0: 2.0, 1: 1.0})
         alpha, v_floor = 0.5, 0.25
@@ -124,6 +126,8 @@ class TestTruncatedPRM:
         assert abs(np.mean(counts) - lam) <= 3 * sigma
 
     def test_void_probability_chi_square(self):
+        """Chi-square over three thresholds at the 0.01 level, fresh streams
+        per replica: false-failure rate about 1%; no failure at 100 seeds."""
         space = line_space([0.0, 1.0])
         base = DiscreteMeasure(space, {0: 2.0, 1: 1.0})
         alpha, v_floor = 0.5, 0.25
@@ -143,6 +147,74 @@ class TestTruncatedPRM:
                 + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected)
             dof += 1
         assert stats.chi2.sf(chi, dof) > 0.01
+
+    def test_per_atom_counts_and_weights(self):
+        """Each atom's mean count is mass * v_floor^(-alpha) within 4 sigma,
+        its share of weights above 1.0 is (1.0 / v_floor)^(-alpha) within 4
+        sigma, and no weight lies below the floor.  Unequal masses make a
+        weight handed to the wrong atom show in the counts.  Six 4-sigma
+        bounds: false-failure rate about 4e-4; no failure at 100 seeds."""
+        space = line_space([0.0, 1.0, 2.0])
+        masses = {0: 3.0, 1: 1.0, 2: 0.25}
+        alpha, v_floor, reps = 0.5, 0.25, 2000
+        stream = RngStream(54)
+        counts = {p: 0.0 for p in masses}
+        above = {p: 0.0 for p in masses}
+        for k in range(reps):
+            pi = truncated_prm(DiscreteMeasure(space, masses), alpha, v_floor, stream.child(k))
+            for (p, v), w in pi.atoms.items():
+                assert v >= v_floor
+                counts[p] += w
+                above[p] += w * (v > 1.0)
+        share = v_floor ** alpha
+        for p, mass in masses.items():
+            lam = mass * v_floor ** -alpha
+            assert abs(counts[p] / reps - lam) <= 4 * math.sqrt(lam / reps)
+            sigma = math.sqrt(share * (1 - share) / counts[p])
+            assert abs(above[p] / counts[p] - share) <= 4 * sigma
+
+    def test_draw_layout_pinned(self):
+        # One poisson call over the atoms in insertion order, then one block
+        # of uniforms handed out in that order.  Changing the layout moves
+        # every PRM draw, so this test makes such a change deliberate.
+        space = line_space([0.0, 1.0, 2.0, 3.0])
+        masses = {2: 0.5, 0: 2.0, 3: 1e-3, 1: 1.0}
+        alpha, v_floor = 0.6, 0.3
+        for k in range(5):
+            rng = RngStream(55, k).generator()
+            counts = rng.poisson(np.array(list(masses.values())) * v_floor ** -alpha)
+            weights = v_floor * (1.0 - rng.random(counts.sum())) ** (-1.0 / alpha)
+            expected: dict = {}
+            at = 0
+            for p, count in zip(masses, counts):
+                for v in weights[at:at + count]:
+                    expected[(p, float(v))] = expected.get((p, float(v)), 0.0) + 1.0
+                at += count
+            base = DiscreteMeasure(space, masses)
+            assert truncated_prm(base, alpha, v_floor, RngStream(55, k)).atoms == expected
+            # A caller's generator is left just past those two calls.
+            shared = RngStream(55, k).generator()
+            truncated_prm(base, alpha, v_floor, shared)
+            assert shared.random() == rng.random()
+
+    def test_void_chi_square_with_one_shared_generator(self):
+        """Void frequencies when the replicas draw in turn from one generator
+        per threshold, as the traps runner's boxes do.  Chi-square over three
+        thresholds at the 0.01 level: false-failure rate about 1%; no
+        failure at 100 seeds."""
+        space = line_space([0.0, 1.0])
+        base = DiscreteMeasure(space, {0: 2.0, 1: 1.0})
+        alpha, v_floor = 0.5, 0.25
+        reps = 4000
+        chi = 0.0
+        for u in (0.5, 1.0, 3.0):
+            rng = RngStream(56).child(int(u * 100)).generator()
+            observed = sum(all(w <= u for _, w in truncated_prm(base, alpha, v_floor, rng).atoms)
+                           for _ in range(reps))
+            expected = reps * math.exp(-base.total() * u ** -alpha)
+            chi += (observed - expected) ** 2 / expected \
+                + ((reps - observed) - (reps - expected)) ** 2 / (reps - expected)
+        assert stats.chi2.sf(chi, 3) > 0.01
 
     def test_possible_empty(self):
         space = line_space([0.0])
