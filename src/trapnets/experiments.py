@@ -46,11 +46,11 @@ from .traps import (
     ScaleTriple,
     TrapEnvironment,
     TrapLaw,
+    _prm_blocks,
     pareto_sample,
     sample_trap,
     scaling_constant,
     scaling_identity_residual,
-    truncated_prm,
 )
 from .serialize import csv_text, format_value
 
@@ -498,10 +498,14 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     replicas, so the sobol sampler is refused.
 
     Each side draws one stream per box, ``child(8, n, box)`` for the traps
-    and ``child(9, n, box)`` for the PRM, and the box's replicas take
-    consecutive draws from it in replica order.  Distinct boxes have
-    distinct streams, so the per-box chi-square cells are independent and
-    the aggregate statistic has its nominal law.
+    and ``child(9, n, box)`` for the PRM.  The traps are one (replicas,
+    #A) block of Pareto draws.  The PRM replicas are drawn by
+    ``traps._prm_blocks`` over #A atoms of mass 1/b, in consecutive blocks
+    of replicas, each one ``poisson`` call of shape (rows, #A) and one block
+    of weights handed out row-major; a replica is void when none of its
+    weights exceeds u.  Distinct boxes have distinct streams, so the per-box
+    chi-square cells are independent and the aggregate statistic has its
+    nominal law.
     """
     if config.sampler == "sobol":
         raise ConfigError("the traps experiment needs independent replicas, "
@@ -543,15 +547,14 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
         for box_id, (r, u, idx) in enumerate(masks):
             if len(idx) == 0 or u < config.prm_floor:
                 continue
-            base_mass = len(idx) / scale.b
-            base = DiscreteMeasure(space, {space.point_ids[i]: 1.0 / scale.b for i in idx})
+            masses = np.full(len(idx), 1.0 / scale.b)
             rng = RngStream(config.seed).child(9, n, box_id).generator()
             observed = 0
-            for _ in range(reps):
-                pi = truncated_prm(base, config.alpha, config.prm_floor, rng)
-                if all(w <= u for _, w in pi.atoms):
-                    observed += 1
-            p0 = math.exp(-base_mass * u ** (-config.alpha))
+            for counts, weights in _prm_blocks(masses, config.alpha, config.prm_floor, reps, rng):
+                # A replica is void unless one of its weights exceeds u.
+                owner = np.repeat(np.arange(len(counts)), counts.sum(axis=1))
+                observed += len(counts) - len(np.unique(owner[weights > u]))
+            p0 = math.exp(-len(idx) / scale.b * u ** (-config.alpha))
             _void_rows(table, cells, "prm", n, r, u, observed, reps, p0)
         _aggregate_row(table, cells, "prm", n)
     return table

@@ -126,6 +126,43 @@ def make_environment(net: ElectricalNetwork, law: TrapLaw, a: float, b: float,
     return TrapEnvironment(net, nu, ScaleTriple(a, b, scaling_constant(law, b)))
 
 
+# Most Pareto weights one PRM draw block holds in expectation; it bounds the
+# memory of a box's replicas, and a replica expecting more is refused.
+_PRM_BLOCK_WEIGHTS = 1 << 22
+
+
+def _prm_blocks(masses: np.ndarray, alpha: float, v_floor: float, replicas: int,
+                rng: np.random.Generator):
+    """Atom counts and weights of ``replicas`` truncated PRM samples over a
+    base measure with atom masses ``masses``, drawn in consecutive blocks of
+    replicas.
+
+    Each block is one ``poisson`` call of shape (rows, atoms), rows in
+    replica order and atoms in the order of ``masses``, then one
+    ``pareto_sample(TrapLaw(alpha, v_floor), rng, total count)`` block of
+    weights handed out in row-major order: ``counts[i, j]`` consecutive
+    weights to atom j of replica i.  A block holds
+    ``_PRM_BLOCK_WEIGHTS // max(expected count, atoms)`` replicas (at least
+    one), where the expected count of a replica is
+    ``sum(masses) * v_floor^(-alpha)``; the last block takes what is left.
+    Yields ``(counts, weights)`` per block.  Raises ``InvalidTruncation``
+    when one replica's expected count exceeds ``_PRM_BLOCK_WEIGHTS``.
+    """
+    if not v_floor > 0:
+        raise InvalidTruncation("v_floor must be positive")
+    law = TrapLaw(alpha, v_floor)
+    lam = masses * v_floor ** (-alpha)
+    expected = float(lam.sum())
+    if not expected <= _PRM_BLOCK_WEIGHTS:
+        raise InvalidTruncation(
+            f"a truncated PRM sample at v_floor {v_floor:g} expects {expected:.3g} "
+            f"weights, more than the {_PRM_BLOCK_WEIGHTS} one draw block holds")
+    rows = max(1, int(_PRM_BLOCK_WEIGHTS // max(expected, len(lam), 1.0)))
+    for start in range(0, replicas, rows):
+        counts = rng.poisson(lam, size=(min(rows, replicas - start), len(lam)))
+        yield counts, pareto_sample(law, rng, int(counts.sum()))
+
+
 def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
                   rng_or_stream) -> DiscreteMeasure:
     """Poisson random measure with intensity base(dx) * alpha v^(-1-alpha) dv,
@@ -138,22 +175,19 @@ def truncated_prm(base: DiscreteMeasure, alpha: float, v_floor: float,
     lives on ``ProductCarrier(base.carrier)`` with one unit of weight per
     draw at each (x, v), so ``total()`` counts the draws.
 
-    Draw order: one ``poisson`` call over the base atoms in insertion order,
-    then one ``random(total count)`` block whose uniforms go to the atoms in
-    that order, ``count(x)`` consecutive uniforms to atom x.  A caller that
-    passes a numpy generator sees exactly these two calls.
+    Draws one replica of :func:`_prm_blocks` over the base atoms in
+    insertion order: one ``poisson`` call over the atoms, then one
+    ``pareto_sample`` block of ``total count`` weights, ``count(x)``
+    consecutive weights to atom x.  A caller that passes a numpy generator
+    sees exactly these two calls.  A base whose expected count exceeds
+    2^22 weights (``_PRM_BLOCK_WEIGHTS``) is refused with
+    ``InvalidTruncation``.
     """
-    if not v_floor > 0:
-        raise InvalidTruncation("v_floor must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise TrapnetsError("alpha must lie in (0, 1)")
-    carrier = ProductCarrier(base.carrier)
-    rng = as_generator(rng_or_stream)
     points = list(base.atoms)
     masses = np.fromiter(base.atoms.values(), dtype=float, count=len(points))
-    counts = rng.poisson(masses * v_floor ** (-alpha))
-    weights = v_floor * (1.0 - rng.random(int(counts.sum()))) ** (-1.0 / alpha)
-    owners = np.repeat(np.arange(len(points)), counts)
+    counts, weights = next(_prm_blocks(masses, alpha, v_floor, 1, as_generator(rng_or_stream)))
+    carrier = ProductCarrier(base.carrier)
+    owners = np.repeat(np.arange(len(points)), counts[0])
     atoms: dict = {}
     for i, v in zip(owners.tolist(), weights.tolist()):
         atom = (points[i], v)

@@ -305,6 +305,19 @@ class TestExperimentCommand:
         assert not (tmp_path / "table.csv").exists()
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    def test_prm_floor_too_small_exits_1(self, capsys, tmp_path):
+        # At floor 1e-40 a PRM sample expects 1e20 weights: one error line,
+        # not numpy's "lam value too large".
+        cfg = {"experiment": "traps", "ensemble": "sierpinski", "levels": [1],
+               "alpha": 0.5, "seed": 1, "replicas": 5, "prm_floor": 1e-40,
+               "out": str(tmp_path / "table.csv")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert not (tmp_path / "table.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "expects 1e+20 weights" in err[0]
+
     @pytest.mark.parametrize("experiment", ["aging", "subaging", "two_point", "traps", "metrics"])
     @pytest.mark.parametrize("ensemble, levels", [
         ("sierpinski", [0, 1]), ("conductance_path", [0, 1]),

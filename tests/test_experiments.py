@@ -269,12 +269,45 @@ class TestTrapConvergence:
 
     def test_void_pvalues_not_systematically_rejected(self):
         """Two aggregate p-values above 0.01: false-failure rate about 2%.
-        Run at seeds 9-108 it failed at 2 of 100 (none of the first 20)."""
+        Run at seeds 9-108 it failed at 2 of 100 (none of the first 20):
+        seed 33 on the PRM side, seed 89 on the trap side."""
         table = run_trap_convergence(gasket_config(levels=[2], replicas=4000))
         agg = [r.value for r in table.select("pi_void_aggregate_pvalue")]
         assert agg and all(p > 0.01 for p in agg)
         prm = [r.value for r in table.select("prm_void_aggregate_pvalue")]
         assert prm and all(p > 0.01 for p in prm)
+
+    @pytest.mark.parametrize("level, floor, reps, u, blocks", [
+        (2, 0.2, 300, 0.6, (300,)),
+        # 6 atoms of mass 1/3 expect 2e4 weights per replica at floor 1e-8,
+        # so the 2^22-weight block budget takes 209 replicas per block.
+        (1, 1e-8, 400, 4.0, (209, 191)),
+    ])
+    def test_prm_void_count_follows_the_block_layout(self, level, floor, reps, u, blocks):
+        # One box holding every vertex.  Its PRM replicas come from the box's
+        # stream in blocks of rows: one poisson call of shape (rows, atoms),
+        # then one block of weights handed out row-major.
+        cfg = gasket_config(levels=[level], prm_floor=floor, replicas=reps, boxes=((10.0, u),))
+        [row] = run_trap_convergence(cfg).select("prm_void_empirical")
+        atoms = sierpinski(level).network.n_vertices
+        lam = np.full(atoms, 1.0 / default_scales("sierpinski", level, cfg.law()).b) \
+            * floor ** -cfg.alpha
+
+        def void_frequency(blocks, column_major=False):
+            rng = RngStream(cfg.seed).child(9, level, 0).generator()
+            void = 0
+            for rows in blocks:
+                counts = rng.poisson(lam, size=(rows, atoms))
+                weights = floor * (1.0 - rng.random(counts.sum())) ** (-1.0 / cfg.alpha)
+                owner = (np.repeat(np.tile(np.arange(rows), atoms), counts.T.ravel())
+                         if column_major else np.repeat(np.arange(rows), counts.sum(axis=1)))
+                void += rows - len(np.unique(owner[weights > u]))
+            return void / reps
+
+        assert row.value == void_frequency(blocks)
+        assert row.value != void_frequency(blocks, column_major=True)
+        if len(blocks) > 1:
+            assert row.value != void_frequency((reps,))
 
     def test_empty_box_void_probability_one(self):
         # A radius inside the ball's snap width leaves even the root on the
@@ -503,13 +536,13 @@ PINNED_DIGESTS = {
     ("two_point", "er_component", "mc"):
         "95ab6cd4598b73af59df7e5398743f4b7993afc19b746e5a6fa803b737717be0",
     ("traps", "sierpinski", "mc"):
-        "63c10bc1a6a0c54b558d5e502f9f19651b7c72d0a651133e3f38d253f63afd07",
+        "55006ecf0249c7a26aceca31f5352ad27b53041d10ada3601a1f7f8e62c8f157",
     ("traps", "conductance_path", "mc"):
-        "3d8d7783de72c59067532d2af587cb74be2c08ef481857fc4a988e2888de1925",
+        "e64ecb505b29b02dc365d6ef80439d5c72842975243b29e9def487919f98e56c",
     ("traps", "cayley_tree", "mc"):
-        "db235696150167f02fe4b489f2986c66eed309fa9c06eee30ecc22816ee57310",
+        "73e0c8bdd8a210c74ddaa6c75fb80956b134ca18decc5cb20d0004ba974e4980",
     ("traps", "er_component", "mc"):
-        "d0a18614ec9b9c2fb0b3c05bb106478dbbf087ac7873b3a5bb665ca0bca6fcfb",
+        "070949b5c21c3ad7a29ec3409e77af246ec82c756fcf98ae6e60c765be4c46fa",
     ("metrics", "sierpinski", "mc"):
         "e5050c76ff302febd0cdfec98377eba9ded0db4b9adf9f5f21ed177b98d5aec9",
     ("metrics", "conductance_path", "mc"):

@@ -12,6 +12,7 @@ from trapnets import (
     scaling_constant,
     scaling_identity_residual,
     sierpinski,
+    traps,
     truncated_prm,
 )
 from trapnets.errors import InvalidScale, InvalidTruncation, SupportMismatch, TrapnetsError
@@ -198,8 +199,8 @@ class TestTruncatedPRM:
             assert shared.random() == rng.random()
 
     def test_void_chi_square_with_one_shared_generator(self):
-        """Void frequencies when the replicas draw in turn from one generator
-        per threshold, as the traps runner's boxes do.  Chi-square over three
+        """Void frequencies when successive ``truncated_prm`` calls draw from
+        one generator per threshold.  Chi-square over three
         thresholds at the 0.01 level: false-failure rate about 1%; no
         failure at 100 seeds."""
         space = line_space([0.0, 1.0])
@@ -226,8 +227,43 @@ class TestTruncatedPRM:
     def test_invalid_floor(self):
         space = line_space([0.0])
         base = DiscreteMeasure(space, {0: 1.0})
-        with pytest.raises(InvalidTruncation):
+        with pytest.raises(InvalidTruncation, match="must be positive"):
             truncated_prm(base, 0.5, 0.0, RngStream(52))
+        # 1e20 expected weights, past the block budget (and past the rates
+        # numpy's poisson takes).
+        with pytest.raises(InvalidTruncation, match="expects 1e[+]20 weights"):
+            truncated_prm(base, 0.5, 1e-40, RngStream(52))
+
+    def test_batched_core_counts_and_voids(self, monkeypatch):
+        """Replicas of ``traps._prm_blocks`` with the block budget lowered to
+        1000 weights, so about 150 replicas per block: each block within
+        the budget, the per-replica total count's mean and variance both
+        lam within 4 sigma, and a chi-square over the bins of each
+        replica's largest weight (void probabilities at three thresholds)
+        at the 0.01 level.  False-failure rate about 1%; no failure at
+        seeds 57-156."""
+        monkeypatch.setattr(traps, "_PRM_BLOCK_WEIGHTS", 1000)
+        masses = np.array([2.0, 1.0, 0.25])
+        alpha, v_floor, reps = 0.5, 0.25, 20_000
+        lam = masses.sum() * v_floor ** -alpha
+        rng = RngStream(57).generator()
+        totals, largest = [], []
+        for counts, weights in traps._prm_blocks(masses, alpha, v_floor, reps, rng):
+            assert len(counts) * lam <= 1000 and np.all(weights >= v_floor)
+            rows = counts.sum(axis=1)
+            top = np.full(len(counts), v_floor)
+            np.maximum.at(top, np.repeat(np.arange(len(counts)), rows), weights)
+            totals.append(rows)
+            largest.append(top)
+        totals, largest = np.concatenate(totals), np.concatenate(largest)
+        assert len(totals) == reps
+        assert abs(totals.mean() - lam) <= 4 * math.sqrt(lam / reps)
+        assert abs(totals.var(ddof=1) - lam) <= 4 * math.sqrt((lam + 2 * lam ** 2) / reps)
+        thresholds = np.array([0.5, 1.0, 3.0])
+        void = np.exp(-masses.sum() * thresholds ** -alpha)
+        expected = reps * np.diff(np.concatenate([[0.0], void, [1.0]]))
+        observed = np.bincount(np.searchsorted(thresholds, largest), minlength=4)
+        assert stats.chi2.sf(((observed - expected) ** 2 / expected).sum(), 3) > 0.01
 
 
 class TestPiVoidProbabilities:
