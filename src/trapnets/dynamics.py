@@ -565,8 +565,7 @@ def subaging_psi(gen: Generator, root, s: float, t: float,
     Equals sum_x exp(-mu(x) * s / nu~({x})) P_T(root, x) with the holding-
     rescaled trap nu~ = nu / holding_unit, by the memoryless holding times.
     """
-    if s < 0:
-        raise NonpositiveTime("sub-aging window must be nonnegative")
+    _check_time(s)
     if not t > 0:
         raise NonpositiveTime("observation time must be positive")
     if not (time_unit > 0 and holding_unit > 0):

@@ -10,9 +10,9 @@ regardless of worker scheduling.
 Each ensemble kind's row of ``_ENSEMBLES`` owns every decision that
 depends on the kind.  A nested kind (gasket, path) has a level builder,
 which places each vertex at a site of the top level; built with top = n it
-is also the kind's independent draw.  The two-point runner takes each
-replica's levels from one draw, maps its replicas over one thread pool of
-``workers`` threads and collects them in replica order.
+is also the kind's independent draw, ``_Ensemble.draw``.  The two-point
+runner takes each replica's levels from one draw, maps its replicas over one
+thread pool of ``workers`` threads and collects them in replica order.
 """
 
 from __future__ import annotations
@@ -103,6 +103,13 @@ class _Ensemble:
     check: Callable = lambda config: None  # config -> None; raises ConfigError
     window_exit_bound: bool = False  # the two-point runner adds window-exit rows
 
+    def draw(self, config, n: int, stream):
+        """The kind's independent draw of level n from ``stream``; a nested
+        kind's is its level built with top = n."""
+        if self.level is None:
+            return self.network(config, n, stream)
+        return self.level(config, n, n).network(stream)
+
 
 _ENSEMBLES = {
     "sierpinski": _Ensemble(lambda n: ((5.0 / 3.0) ** n, 3.0 ** n), GASKET_LEVELS,
@@ -143,7 +150,6 @@ class ExperimentConfig:
     prm_floor: float = 0.25
     workers: int = 1
     bootstrap: int = 400
-    sampler: str = "mc"                   # "mc" or "sobol" (nested ensembles)
     experiment: str = "aging"             # the runner the command line picks
     out: str | None = None                # CSV path; None keeps the command line's --out
 
@@ -151,9 +157,9 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Config from its JSON object; a missing key keeps its field's default.
 
-        Each key's own rule is checked by its row of ``_CONFIG_KEYS``; the
-        rules checked here read two keys, and the ensemble's row checks its
-        own.
+        Each key's own rule is checked by its row of ``_CONFIG_KEYS``, a key
+        not listed there is refused by name, and the ensemble's row checks
+        the levels and its own rules.
         """
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
@@ -173,13 +179,6 @@ class ExperimentConfig:
             span = f">= {low}" if high == math.inf else f"from {low} to {high}"
             raise ConfigError(f"config key 'levels' must be {span} for {config.kind}, "
                               f"got {list(config.levels)}")
-        if config.sampler == "sobol":
-            if ensemble.level is None:
-                raise ConfigError("the sobol sampler needs a nested ensemble")
-            # Sobol points keep their balance only in runs of 2^k.
-            if config.replicas & (config.replicas - 1):
-                raise ConfigError("config key 'replicas' must be a power of 2 under the "
-                                  f"sobol sampler, got {config.replicas}")
         ensemble.check(config)
         return config
 
@@ -262,7 +261,6 @@ _CONFIG_KEYS = {
     "prm_floor": ("prm_floor", _rule(_number, "positive", lambda v: v > 0)),
     "workers": ("workers", _rule(_integer, ">= 1", lambda n: n >= 1)),
     "bootstrap": ("bootstrap", _rule(_integer, ">= 0", lambda n: n >= 0)),
-    "sampler": ("sampler", _rule(_text, "'mc' or 'sobol'", ("mc", "sobol").__contains__)),
     "experiment": ("experiment", _text),
     "out": ("out", _text),
 }
@@ -326,28 +324,17 @@ def _build_coupled_levels(config: ExperimentConfig):
     Each site of the top level gets one key (numbered in level order, then
     vertex order), so a replica's trap uniforms in (0, 1] are shared across
     levels.  Returns the level graphs and a function of the replica index:
-    its traps at each level, in vertex order.  The uniforms come from the
-    replica's stream ``child(rep, 0)``, or under the sobol sampler from a row
-    of scrambled low-discrepancy points, whose annealed means converge faster.
+    its traps at each level, in vertex order.  The uniforms are one draw per
+    key from the replica's stream ``child(rep, 0)``, so replicas are iid.
     """
     law, top = config.law(), max(config.levels)
     graphs = [_ENSEMBLES[config.kind].level(config, n, top) for n in config.levels]
     keys: dict = {}
     couplings = [np.array([keys.setdefault(site, len(keys)) for site in g.sites])
                  for g in graphs]
-    if config.sampler == "sobol":
-        # Imported here: scipy.stats takes most of a second to import, and
-        # only sobol configs need it.
-        from scipy.stats import qmc
-
-        stream = RngStream(config.seed).child(42)
-        seed_seq = np.random.SeedSequence([stream.seed & (2**63 - 1), stream.stream])
-        rng = np.random.Generator(np.random.Philox(seed_seq))
-        sobol = 1.0 - qmc.Sobol(d=len(keys), scramble=True, seed=rng).random(config.replicas)
 
     def traps(rep):
-        u = (sobol[rep] if config.sampler == "sobol"
-             else 1.0 - RngStream(config.seed).child(rep, 0).generator().random(len(keys)))
+        u = 1.0 - RngStream(config.seed).child(rep, 0).generator().random(len(keys))
         return [law.quantile(u[c]) for c in couplings]
     return graphs, traps
 
@@ -429,7 +416,7 @@ def _replica_levels(config: ExperimentConfig):
     law, streams, ensemble = config.law(), RngStream(config.seed), _ENSEMBLES[config.kind]
     if ensemble.level is None:
         def independent(rep, slot):
-            net = ensemble.network(config, config.levels[slot], streams.child(rep, 2, slot))
+            net = ensemble.draw(config, config.levels[slot], streams.child(rep, 2, slot))
             return net, sample_trap(net, law, streams.child(rep, 3, slot))
         return lambda rep: partial(independent, rep)
     graphs, traps = _build_coupled_levels(config)
@@ -494,9 +481,9 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     For each configured box A x (u, inf): the empirical void frequency over
     replicas against (1 - P(xi/c > u))^#A, a per-box chi-square p-value, the
     aggregate chi-square over boxes, and the scaling-identity residual where
-    the identity holds (c u >= u_min).  The chi-square laws need independent
-    replicas, so the sobol sampler is refused.
+    the identity holds (c u >= u_min).
 
+    Level n's network is the kind's independent draw from ``child(7, n)``.
     Each side draws one stream per box, ``child(8, n, box)`` for the traps
     and ``child(9, n, box)`` for the PRM.  The traps are one (replicas,
     #A) block of Pareto draws.  The PRM replicas are drawn by
@@ -507,17 +494,11 @@ def run_trap_convergence(config: ExperimentConfig) -> ResultTable:
     chi-square cells are independent and the aggregate statistic has its
     nominal law.
     """
-    if config.sampler == "sobol":
-        raise ConfigError("the traps experiment needs independent replicas, "
-                          "so it does not take the sobol sampler")
     law = config.law()
     table = ResultTable()
     for n in config.levels:
         scale = default_scales(config.kind, n, law)
-        ensemble, stream = _ENSEMBLES[config.kind], RngStream(config.seed).child(7, n)
-        # A nested kind's independent draw is its level built with top n.
-        net = (ensemble.network(config, n, stream) if ensemble.level is None
-               else ensemble.level(config, n, n).network(stream))
+        net = _ENSEMBLES[config.kind].draw(config, n, RngStream(config.seed).child(7, n))
         space = net.resistance_space
         root_row = space.dist[space.index(space.root)] / scale.a
         boxes = config.boxes or _default_boxes(root_row)

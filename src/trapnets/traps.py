@@ -74,7 +74,7 @@ def scaling_identity_residual(law: TrapLaw, b: float, u: float) -> float:
     """Residual of b * P(xi / c(b) > u) - u^(-alpha), zero for the Pareto tail.
 
     Valid for c(b) * u >= u_min; computed through the generic tail function,
-    so it exercises the same code path as the samplers and vanishes up to
+    so it exercises the same code path as the void probabilities and vanishes up to
     floating-point rounding.
     """
     c = scaling_constant(law, b)

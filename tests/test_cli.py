@@ -156,6 +156,13 @@ class TestDynamicsCommands:
         assert code == 1 and out == ""
         assert "error:" in err and "finite" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_subaging_non_finite_window_exits_1(self, capsys, gasket_file, value):
+        code, out, err = run_cli(capsys, "subaging", "--net", str(gasket_file),
+                                 "--alpha", "0.5", "--seed", "3", "--s", value, "--t", "1")
+        assert code == 1 and out == ""
+        assert "error:" in err and "finite" in err
+
     def test_missing_seed_exits_2(self, gasket_file):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--net", str(gasket_file), "--alpha", "0.5",
@@ -275,7 +282,7 @@ class TestExperimentCommand:
         # A field of None writes the value as the whole file.
         pytest.param(None, "[1, 2]", id="not-an-object"),
         pytest.param(None, '{"ensemble": ', id="truncated"),
-        ("out", 5), ("experiment", ["aging"]),
+        ("out", 5), ("experiment", ["aging"]), ("sampler", "mc"), ("sampler", "sobol"),
     ])
     def test_invalid_config_exits_1(self, capsys, tmp_path, field, value):
         cfg = {"experiment": "two_point", "ensemble": "sierpinski", "levels": [1, 2],
@@ -397,8 +404,8 @@ class TestWeightedNetworkRoundTrip:
 
 class TestImportCost:
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes most of a second and about 33 MiB to import; only
-        # the sobol sampler needs it, and it imports it when called.
+        # scipy.stats takes most of a second and about 33 MiB to import; the
+        # package uses none of it, so no command should pay for it.
         src = str(Path(trapnets.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         for module in ("trapnets", "trapnets.cli"):

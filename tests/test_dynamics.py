@@ -527,7 +527,8 @@ class TestNonFiniteTimes:
                      lambda: simulate_path(gen, root, t, RngStream(1)),
                      lambda: simulate_marginal(gen, root, t, RngStream(1), 10),
                      lambda: aging_phi(gen, root, 1.0, t),
-                     lambda: subaging_psi(gen, root, 1.0, t)):
+                     lambda: subaging_psi(gen, root, 1.0, t),
+                     lambda: subaging_psi(gen, root, t, 1.0)):
             with pytest.raises(NonpositiveTime):
                 call()
 

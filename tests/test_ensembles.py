@@ -213,13 +213,17 @@ class TestTiltedTree:
         assert stats.chi2.sf(chi, 2) > 0.01
 
     def test_p_to_zero_recovers_uniform(self):
+        """Chi-square against the uniform law at the 0.01 level: false-failure
+        rate about 1%; 1 failure at 200 seeds (1011-1210, seed 1193)."""
         n = 15_000
         counts = tilted_counts(3, 1e-9, RngStream(11), n)
         chi = sum((c - n / 3) ** 2 / (n / 3) for c in counts.values())
         assert stats.chi2.sf(chi, 2) > 0.01
 
     def test_m4_enumerated_probabilities(self):
-        # All 16 labeled trees on [4] against their exact tilted weights.
+        """All 16 labeled trees on [4] against their exact tilted weights,
+        chi-square at the 0.01 level: false-failure rate about 1%; 1 failure
+        at 200 seeds (1012-1211, seed 1067)."""
         p = 0.3
         law = tilted_law(4, p)
         assert len(law) == 16

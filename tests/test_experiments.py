@@ -42,16 +42,6 @@ class TestConfig:
             gasket_config(alpha=1.5)
         with pytest.raises(ConfigError):
             gasket_config(replicas=0)
-        with pytest.raises(ConfigError):
-            gasket_config(sampler="sobol", ensemble="er_component", levels=[100])
-
-    def test_sobol_needs_power_of_two_replicas(self):
-        # Sobol points keep their balance only in runs of 2^k.
-        for replicas in (3, 12):
-            with pytest.raises(ConfigError, match="config key 'replicas'"):
-                gasket_config(sampler="sobol", replicas=replicas)
-        for replicas in (1, 2, 16):
-            assert gasket_config(sampler="sobol", replicas=replicas).replicas == replicas
 
     @pytest.mark.parametrize("field, value", [
         ("t_grid", [-1.0]), ("t_grid", [2.0, 0.0]), ("t_grid", [float("nan")]),
@@ -88,7 +78,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("ensemble", "x"), ("ensemble", 5), ("levels", []), ("levels", [2, 1]),
         ("levels", [1, 1]), ("alpha", 1.5), ("alpha", 0.0), ("replicas", 0),
-        ("sampler", "x"), ("sampler", ["mc"]), ("t_grid", [-1]), ("t_grid", [0.0]),
+        ("seed", 1.5), ("lambda", ["0"]), ("t_grid", [-1]), ("t_grid", [0.0]),
         ("s_grid", [-1]), ("workers", 0), ("boxes", [[0.0, 1.0]]), ("bootstrap", -1),
         ("prm_floor", 0.0), ("path_bounds", [2.0, 0.5]), ("experiment", ["aging"]),
         ("experiment", ""), ("out", 5), ("out", ""),
@@ -112,7 +102,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"config key 'levels' must be .* for {kind}"):
             gasket_config(ensemble=kind, levels=levels)
 
-    @pytest.mark.parametrize("key, value", [("replica", 100), ("u_min", 2.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("replica", 100), ("u_min", 2.0), ("sampler", "mc"), ("sampler", "sobol"),
+    ])
     def test_unknown_keys_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             gasket_config(**{key: value})
@@ -144,10 +136,10 @@ class TestNestedLevels:
         config = gasket_config(ensemble="conductance_path", levels=[n])
         stream = RngStream(31).child(n)
         law = UniformConductanceLaw(*config.path_bounds)
-        built = _ENSEMBLES["conductance_path"].level(config, n, n).network(stream)
+        built = _ENSEMBLES["conductance_path"].draw(config, n, stream)
         assert network_to_json(built) == network_to_json(conductance_path(2 ** n, law,
                                                                           stream).network)
-        built = _ENSEMBLES["sierpinski"].level(config, n, n).network(stream)
+        built = _ENSEMBLES["sierpinski"].draw(config, n, stream)
         assert network_to_json(built) == network_to_json(sierpinski(n).network)
 
 
@@ -222,17 +214,8 @@ class TestAgingExperiments:
         table = run_aging_experiment(cfg)
         assert len(table.select("phi")) == 6
 
-    def test_sobol_sampler_runs_and_is_deterministic(self):
-        a = run_aging_experiment(gasket_config(sampler="sobol", replicas=8)).to_csv()
-        b = run_aging_experiment(gasket_config(sampler="sobol", replicas=8)).to_csv()
-        assert a == b
-
 
 class TestTrapConvergence:
-    def test_sobol_sampler_refused(self):
-        with pytest.raises(ConfigError, match="sobol"):
-            run_trap_convergence(gasket_config(sampler="sobol", replicas=8))
-
     def test_pareto_residual_identically_zero_ish(self):
         table = run_trap_convergence(gasket_config(levels=[1, 2], replicas=2000))
         residuals = [abs(r.value) for r in table.select("scaling_identity_residual")]
@@ -374,14 +357,6 @@ class TestMetricConvergence:
         nu = DiscreteMeasure(space, atoms)
         assert dis_measure_distance(nu, nu) == 0.0
 
-    @pytest.mark.parametrize("kind", ["sierpinski", "conductance_path"])
-    def test_sobol_sampler_honored(self, kind):
-        cfg = {"ensemble": kind, "levels": [1, 2], "replicas": 4}
-        a = run_metric_convergence(gasket_config(sampler="sobol", **cfg)).to_csv()
-        b = run_metric_convergence(gasket_config(sampler="sobol", **cfg)).to_csv()
-        assert a == b
-        assert a != run_metric_convergence(gasket_config(**cfg)).to_csv()
-
     def test_er_skipped_with_report(self):
         cfg = ExperimentConfig.from_dict({
             "ensemble": "er_component", "levels": [50], "alpha": 0.5,
@@ -492,64 +467,52 @@ class TestWindowCertification:
         assert run_metric_convergence(cfg).to_csv() == run_metric_convergence(cfg).to_csv()
 
 
-# sha256 of ``to_csv()`` plus the failure count, per (experiment, ensemble,
-# sampler), recorded before the runners shared one ensemble table.  Any change
+# sha256 of ``to_csv()`` plus the failure count, per (experiment, ensemble),
+# recorded before the runners shared one ensemble table.  Any change
 # to a random stream, to the numbering of the coupling keys or to row order
 # moves a digest.  The values also depend on the floating-point results of
 # the installed numpy/scipy build; re-record them from a known-good commit
 # if a platform change alone moves them.
 PINNED_DIGESTS = {
-    ("aging", "sierpinski", "mc"):
+    ("aging", "sierpinski"):
         "81c445805c3b5324295e2809ca80a26b802bb189fd899c02e03e7e59249d0528",
-    ("aging", "sierpinski", "sobol"):
-        "526dde5e017a2c276db2a649183f44362278d7ad1f95ecb5710d1f137dc9fcd0",
-    ("aging", "conductance_path", "mc"):
+    ("aging", "conductance_path"):
         "e85adf1d142f38d5e80d8474092639d15ea1d5a688581f0cf8420c02ca528347",
-    ("aging", "conductance_path", "sobol"):
-        "e3a37dae42b1b31dc2b1b80da2ca316c2a03c9426a942d75313092afdbcfba4e",
-    ("aging", "cayley_tree", "mc"):
+    ("aging", "cayley_tree"):
         "f650ce0612c42d7016d267fda5af0e19a020cd6056e30a76880a268c054effb7",
-    ("aging", "er_component", "mc"):
+    ("aging", "er_component"):
         "eb65cd2ece2b41e1efb14c0465ba01d689b60aa0654b87825a1e4e192b0f7e68",
-    ("subaging", "sierpinski", "mc"):
+    ("subaging", "sierpinski"):
         "de1aeee263cc5cf1302afda6d8f069f852f1b0f2a60d77fc93eb3e04bdfa39a0",
-    ("subaging", "sierpinski", "sobol"):
-        "fb46fcc8d5650c5c167547d7e2415cbbfe805f25273e558e1b4051f0a9106dcb",
-    ("subaging", "conductance_path", "mc"):
+    ("subaging", "conductance_path"):
         "4e53265e4ecfc4cda8114a87180ef22ab5f1576847df0d0cec58f02c5acd3d43",
-    ("subaging", "conductance_path", "sobol"):
-        "089353520a22793c3f0f35370ab36483ce3c7498e4f13c0d02c255fea288d43a",
-    ("subaging", "cayley_tree", "mc"):
+    ("subaging", "cayley_tree"):
         "0aeaac8409a0cfc2a87c5a06968ca7ac5eac72d9967db4f7d71cb27aba953286",
-    ("subaging", "er_component", "mc"):
+    ("subaging", "er_component"):
         "db48230d888eb01ba56dc87d36121935285733c66f9f70fd772d8f64f878efc4",
-    ("two_point", "sierpinski", "mc"):
+    ("two_point", "sierpinski"):
         "225c1aa1942430545de0a1fc9fad735671880c0dd20e65293d95bffb378654a2",
-    ("two_point", "sierpinski", "sobol"):
-        "4723d1bc82dd94280988b1c9a10d74822756e29e765efc57f763926687d6ab5e",
-    ("two_point", "conductance_path", "mc"):
+    ("two_point", "conductance_path"):
         "b0615b0cc91332b941b9072536ab5e295ef0c60d0c483ddca8bcc729d273e9f3",
-    ("two_point", "conductance_path", "sobol"):
-        "41291c0a01da183ca3e4ff1dd4974adf807fbe92f0b3b5c7113ad65cfdb37129",
-    ("two_point", "cayley_tree", "mc"):
+    ("two_point", "cayley_tree"):
         "6eb064346f59c260d587d6af7d64a6474e62ecd6b2e484d9e8b55b5210784256",
-    ("two_point", "er_component", "mc"):
+    ("two_point", "er_component"):
         "95ab6cd4598b73af59df7e5398743f4b7993afc19b746e5a6fa803b737717be0",
-    ("traps", "sierpinski", "mc"):
+    ("traps", "sierpinski"):
         "55006ecf0249c7a26aceca31f5352ad27b53041d10ada3601a1f7f8e62c8f157",
-    ("traps", "conductance_path", "mc"):
+    ("traps", "conductance_path"):
         "e64ecb505b29b02dc365d6ef80439d5c72842975243b29e9def487919f98e56c",
-    ("traps", "cayley_tree", "mc"):
+    ("traps", "cayley_tree"):
         "73e0c8bdd8a210c74ddaa6c75fb80956b134ca18decc5cb20d0004ba974e4980",
-    ("traps", "er_component", "mc"):
+    ("traps", "er_component"):
         "070949b5c21c3ad7a29ec3409e77af246ec82c756fcf98ae6e60c765be4c46fa",
-    ("metrics", "sierpinski", "mc"):
+    ("metrics", "sierpinski"):
         "e5050c76ff302febd0cdfec98377eba9ded0db4b9adf9f5f21ed177b98d5aec9",
-    ("metrics", "conductance_path", "mc"):
+    ("metrics", "conductance_path"):
         "41e2765a2a8e70c4e0de63035db92fc3a61df062dec57330cc1e78c3a0aacdd1",
-    ("metrics", "cayley_tree", "mc"):
+    ("metrics", "cayley_tree"):
         "9f0d882a67c0db23d7b6aa8f42e5522088de5040d9426c5d700ce9a006dc6fb5",
-    ("metrics", "er_component", "mc"):
+    ("metrics", "er_component"):
         "9f0d882a67c0db23d7b6aa8f42e5522088de5040d9426c5d700ce9a006dc6fb5",
 }
 
@@ -566,15 +529,15 @@ _DIGEST_LEVELS = {"sierpinski": [1, 2, 3], "conductance_path": [1, 2, 3],
 
 def test_pinned_csv_digests():
     moved = []
-    for (experiment, kind, sampler), expected in PINNED_DIGESTS.items():
+    for (experiment, kind), expected in PINNED_DIGESTS.items():
         for workers in (1, 2):
             config = ExperimentConfig.from_dict({
                 "ensemble": kind, "levels": _DIGEST_LEVELS[kind], "alpha": 0.6,
-                "seed": 5, "workers": workers, "sampler": sampler, "bootstrap": 50,
+                "seed": 5, "workers": workers, "bootstrap": 50,
                 "replicas": 40 if experiment == "traps" else 4, "t_grid": [1.0, 2.0],
                 "s_grid": [0.0, 0.5] if experiment == "subaging" else [0.5, 1.5]})
             table = _DIGEST_RUNNERS[experiment](config)
             payload = table.to_csv() + f"failures={table.failures}\n"
             if hashlib.sha256(payload.encode()).hexdigest() != expected:
-                moved.append((experiment, kind, sampler, workers))
+                moved.append((experiment, kind, workers))
     assert not moved
