@@ -312,42 +312,43 @@ class Generator:
         _check(_row_error(green[1:], t), t)
         return green[1:]
 
-    def kernel_matrix(self, t: float) -> np.ndarray:
-        _check_time(t)
+    def _kernel(self, t: float):
+        """The checked kernel at time t as (left, weights, right): P_t is
+        ``left`` when ``right`` is None and (left * weights) @ right
+        otherwise."""
+        _check_times(t)
         if t == 0.0:
-            return np.eye(self.net.n_vertices)
+            return np.eye(self.net.n_vertices), None, None
         if self._takes_generator(t):
-            return self._spectral(t)
+            return self._spectral(t), None, None
         eigvals, back, fwd = self._modes(t)
-        return (back * np.exp(eigvals * t)) @ fwd
+        return back, np.exp(eigvals * t), fwd
+
+    def kernel_matrix(self, t: float) -> np.ndarray:
+        left, weights, right = self._kernel(t)
+        return left if right is None else (left * weights) @ right
 
     def kernel_row(self, start, t: float) -> np.ndarray:
         """Row P_t(start, .); past the crossover without forming the full
         matrix."""
-        _check_time(t)
+        left, weights, right = self._kernel(t)
         i = self.net.index(start)
-        if t == 0.0:
-            row = np.zeros(self.net.n_vertices)
-            row[i] = 1.0
-            return row
-        if self._takes_generator(t):
-            return self._spectral(t)[i].copy()
-        eigvals, back, fwd = self._modes(t)
-        return (back[i] * np.exp(eigvals * t)) @ fwd
+        return left[i].copy() if right is None else (left[i] * weights) @ right
 
     def kernel_diagonal(self, t: float) -> np.ndarray:
-        _check_time(t)
-        if t == 0.0:
-            return np.ones(self.net.n_vertices)
-        if self._takes_generator(t):
-            return self._spectral(t).diagonal().copy()
-        eigvals, back, fwd = self._modes(t)
-        return np.einsum("xk,kx->x", back * np.exp(eigvals * t), fwd)
+        left, weights, right = self._kernel(t)
+        if right is None:
+            return left.diagonal().copy()
+        return np.einsum("xk,kx->x", left * weights, right)
 
 
-def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise NonpositiveTime(f"time must be finite and nonnegative, got {t!r}")
+def _check_times(*values: float, positive: bool = False) -> None:
+    """The one time rule: every time, window, horizon and time unit must be
+    finite and nonnegative, or finite and positive with ``positive``."""
+    for value in values:
+        if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+            kind = "positive" if positive else "nonnegative"
+            raise NonpositiveTime(f"times must be finite and {kind}, got {value!r}")
 
 
 def _check(error: float, t: float) -> None:
@@ -502,8 +503,7 @@ def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathS
     Holding at x is exponential with mean nu({x}) / mu(x); jumps go to y with
     probability mu(x, y) / mu(x).
     """
-    if not 0 < horizon < math.inf:
-        raise NonpositiveTime(f"horizon must be finite and positive, got {horizon!r}")
+    _check_times(horizon, positive=True)
     net = gen.net
     visits: list = []
     _run_chain(_gillespie_tables(gen), net.index(start), horizon,
@@ -514,8 +514,7 @@ def simulate_path(gen: Generator, start, horizon: float, rng_or_stream) -> PathS
 
 def simulate_marginal(gen: Generator, start, t: float, rng_or_stream, n_paths: int) -> np.ndarray:
     """Empirical distribution of the state at time t over n_paths runs."""
-    if not 0 < t < math.inf:
-        raise NonpositiveTime(f"time must be finite and positive, got {t!r}")
+    _check_times(t, positive=True)
     if n_paths < 1:
         raise PreconditionViolated("n_paths must be at least 1")
     rng = as_generator(rng_or_stream)
@@ -546,10 +545,7 @@ def aging_phi(gen: Generator, root, s: float, t: float, time_unit: float = 1.0) 
     For s <= t this is sum_x P_s'(root, x) P_{t'-s'}(x, x); the event is
     symmetric in (s, t) and equals one on the diagonal.
     """
-    if not (s > 0 and t > 0):
-        raise NonpositiveTime("aging times must be positive")
-    if not time_unit > 0:
-        raise TrapnetsError("time unit must be positive")
+    _check_times(s, t, time_unit, positive=True)
     if s == t:
         return 1.0
     lo, hi = (s, t) if s < t else (t, s)
@@ -565,11 +561,8 @@ def subaging_psi(gen: Generator, root, s: float, t: float,
     Equals sum_x exp(-mu(x) * s / nu~({x})) P_T(root, x) with the holding-
     rescaled trap nu~ = nu / holding_unit, by the memoryless holding times.
     """
-    _check_time(s)
-    if not t > 0:
-        raise NonpositiveTime("observation time must be positive")
-    if not (time_unit > 0 and holding_unit > 0):
-        raise TrapnetsError("scale units must be positive")
+    _check_times(s)
+    _check_times(t, time_unit, holding_unit, positive=True)
     if s == 0:
         return 1.0
     row = gen.kernel_row(root, time_unit * t)
@@ -660,8 +653,7 @@ def exit_time_bound(env, x, r: float, delta: float, horizon: float) -> float:
 
 def _exit_time_bound(env, x, res: float, delta: float, horizon: float) -> float:
     """exit_time_bound given res = R(x, B(x, r)^c), so callers solve for it once."""
-    if horizon < 0:
-        raise PreconditionViolated("horizon must be nonnegative")
+    _check_times(horizon)
     if math.isinf(res):
         return 0.0
     if not 0 < delta < res:
@@ -723,7 +715,7 @@ def return_probability_bounds_check(env, x, t: float, eps: float,
     by Monte Carlo with its 99% upper confidence limit as slack; with
     ``n_paths == 0`` the exit probability is conservatively taken to be 1.
     """
-    _check_time(t)
+    _check_times(t)
     if not eps > 0:
         raise TrapnetsError("eps must be positive")
     if n_paths < 0 or (n_paths > 0 and rng_or_stream is None):

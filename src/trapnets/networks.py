@@ -54,9 +54,10 @@ def ball_tolerance(r: float) -> float:
 
     Distances within this width of the radius are treated as exactly equal to
     it, so radii chosen at realized distances behave like the exact metric
-    despite factorization rounding.
+    despite factorization rounding.  An infinite radius has width zero, so
+    its balls, open or closed, hold every finite distance.
     """
-    return _BALL_SNAP * max(1.0, abs(r))
+    return _BALL_SNAP * max(1.0, abs(r)) if math.isfinite(r) else 0.0
 
 
 def ball_mask(row, radius: float, closed: bool = False):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 constants, used to derive child stream ids deterministically.
@@ -27,20 +26,6 @@ def _mix64(value: int) -> int:
     return (value ^ (value >> 31)) & _MASK64
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands ``Philox`` its key without the OS-entropy ``SeedSequence`` that
-    ``Philox(key=...)`` builds and discards.  Any other request raises, so a
-    change in numpy cannot silently move the streams."""
-
-    def __init__(self, key: np.ndarray):
-        self._key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"unexpected seed request: {n_words} words of {dtype}")
-        return self._key
-
-
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream keyed by (seed, stream id)."""
@@ -51,7 +36,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64],
                        dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, *indices: int) -> "RngStream":
         """Derive a sub-stream; distinct index tuples give distinct streams."""

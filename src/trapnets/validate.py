@@ -15,6 +15,7 @@ import scipy.linalg
 from . import dynamics, measures, networks, traps
 from .ensembles import sierpinski
 from .errors import NumericalFailure
+from .experiments import default_scales
 from .measures import DiscreteMeasure
 from .networks import FiniteMetricSpace
 from .rng import RngStream
@@ -277,11 +278,12 @@ def _check_truncated_kernels(seed: int):
     slow-mode kernels against a full eigendecomposition of the Green's
     operator (1e-9), with rows summing to 1 (1e-10)."""
     net = sierpinski(5).network
+    law = TrapLaw(0.5)
+    scale = default_scales("sierpinski", 5, law)
     stream = RngStream(seed).child(16)
     worst = 0.0
     for i in range(2):
-        env = traps.make_environment(net, TrapLaw(0.5), (5.0 / 3.0) ** 5, 3.0 ** 5,
-                                     stream.child(i))
+        env = traps.make_environment(net, law, scale.a, scale.b, stream.child(i))
         gen = env.generator
         t = env.scale.a * env.scale.c
         slow = gen._slow_modes
@@ -309,8 +311,9 @@ def _check_kernel_paths(seed: int):
     of the Green's operator within twice the first-order model
     n eps |M|_F 4 e^(-2) / t that each of the two computations carries."""
     net = sierpinski(3).network
-    env = traps.make_environment(net, TrapLaw(0.2), (5.0 / 3.0) ** 3, 3.0 ** 3,
-                                 RngStream(seed).child(17))
+    law = TrapLaw(0.2)
+    scale = default_scales("sierpinski", 3, law)
+    env = traps.make_environment(net, law, scale.a, scale.b, RngStream(seed).child(17))
     gen = env.generator
     served = {"generator": 0, "Green's operator": 0, "refused": 0}
     worst = 0.0

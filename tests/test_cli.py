@@ -163,6 +163,12 @@ class TestDynamicsCommands:
         assert code == 1 and out == ""
         assert "error:" in err and "finite" in err
 
+    def test_aging_non_finite_times_exit_1(self, capsys, gasket_file):
+        code, out, err = run_cli(capsys, "aging", "--net", str(gasket_file),
+                                 "--alpha", "0.5", "--seed", "3", "--s", "inf", "--t", "inf")
+        assert code == 1 and out == ""
+        assert "error:" in err and "finite" in err
+
     def test_missing_seed_exits_2(self, gasket_file):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--net", str(gasket_file), "--alpha", "0.5",
@@ -216,6 +222,11 @@ class TestResistanceCommand:
     def test_boundary(self, capsys, gasket_file):
         code, out, _ = run_cli(capsys, "resistance", "--net", str(gasket_file),
                                "--source", "0", "--boundary", "100.0")
+        assert code == 0 and out.strip() == "inf"
+
+    def test_boundary_infinite_radius(self, capsys, gasket_file):
+        code, out, _ = run_cli(capsys, "resistance", "--net", str(gasket_file),
+                               "--source", "0", "--boundary", "inf")
         assert code == 0 and out.strip() == "inf"
 
 

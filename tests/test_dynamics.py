@@ -527,10 +527,20 @@ class TestNonFiniteTimes:
                      lambda: simulate_path(gen, root, t, RngStream(1)),
                      lambda: simulate_marginal(gen, root, t, RngStream(1), 10),
                      lambda: aging_phi(gen, root, 1.0, t),
+                     lambda: aging_phi(gen, root, t, t),
+                     lambda: aging_phi(gen, root, 1.0, 2.0, time_unit=t),
                      lambda: subaging_psi(gen, root, 1.0, t),
-                     lambda: subaging_psi(gen, root, t, 1.0)):
+                     lambda: subaging_psi(gen, root, t, 1.0),
+                     lambda: subaging_psi(gen, root, 1.0, 1.0, time_unit=t),
+                     lambda: subaging_psi(gen, root, 1.0, 1.0, holding_unit=t),
+                     lambda: exit_time_bound(env, root, 0.5, 0.1, t),
+                     lambda: exit_time_bound_check(env, root, 0.5, 0.1, t, RngStream(1), 10)):
             with pytest.raises(NonpositiveTime):
                 call()
+
+    def test_negative_exit_horizon_refused(self, env):
+        with pytest.raises(NonpositiveTime):
+            exit_time_bound(env, env.network.root, 0.5, 0.1, -1.0)
 
 
 class MpKernels:

@@ -32,7 +32,7 @@ from trapnets.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from trapnets.networks import LARGE_FROM
+from trapnets.networks import LARGE_FROM, ball_mask
 from trapnets.rng import RngStream
 from trapnets.validate import random_connected_network
 
@@ -260,6 +260,12 @@ class TestResistanceBetweenSets:
 class TestBoundaryResistance:
     def test_ball_covers_everything(self, unit_path3):
         assert boundary_resistance(unit_path3, 2, 1.5) == math.inf
+
+    def test_infinite_radius_covers_everything(self, unit_path3):
+        assert boundary_resistance(unit_path3, 1, math.inf) == math.inf
+        row = np.array([0.0, 1.0, 1e300])
+        for closed in (False, True):
+            assert ball_mask(row, math.inf, closed=closed).all()
 
     def test_path_root_ball(self, unit_path3):
         # B(1, 1) = {1}; oracle: direct grounded solve for R({1}, {2, 3}).

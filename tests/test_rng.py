@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trapnets.rng import RngStream, _PhiloxKey, as_generator
+from trapnets.rng import RngStream, as_generator
 
 
 class TestAsGenerator:
@@ -31,9 +31,3 @@ class TestGenerator:
         assert repr(got.bit_generator.state) == repr(expected.bit_generator.state)
         assert np.array_equal(got.random(64), expected.random(64))
         assert np.array_equal(got.standard_exponential(64), expected.standard_exponential(64))
-
-    def test_key_refuses_other_seed_requests(self):
-        key = _PhiloxKey(np.array([1, 2], dtype=np.uint64))
-        for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64)):
-            with pytest.raises(ValueError):
-                key.generate_state(n_words, dtype)
