@@ -340,6 +340,40 @@ def _check_kernel_paths(seed: int):
     return True, f"{counts}; worst Green's operator gap {worst:.2f} of its bound"
 
 
+def _check_jump_chain(seed: int):
+    """Gasket level 2, one Pareto(0.5) trap draw: ``simulate_marginal`` at
+    t = a*c / 10 against ``kernel_row``, each frequency within 5 sigma + 1/n
+    of its kernel value, and ``exit_time_bound_check`` from the root (radius
+    the 60% quantile of its resistances, delta a tenth of the boundary
+    resistance, horizon a*c / 100) with its 99% upper limit within the
+    bound, both over 20,000 paths."""
+    n_paths = 20_000
+    net = sierpinski(2).network
+    law = TrapLaw(0.5)
+    scale = default_scales("sierpinski", 2, law)
+    stream = RngStream(seed).child(18)
+    env = traps.make_environment(net, law, scale.a, scale.b, stream.child(0))
+    gen, root, unit = env.generator, net.root, env.scale.a * env.scale.c
+    t = 0.1 * unit
+    freq = dynamics.simulate_marginal(gen, root, t, stream.child(1), n_paths)
+    exact = gen.kernel_row(root, t)
+    sigma = np.sqrt(exact * (1.0 - exact) / n_paths)
+    z = np.abs(freq - exact) / (5.0 * sigma + 1.0 / n_paths)
+    worst = int(np.argmax(z))
+    if z[worst] > 1.0:
+        return False, (f"state {net.vertex_ids[worst]!r} at t = {t:.3e}: frequency "
+                       f"{freq[worst]:.5f} against kernel {exact[worst]:.5f}")
+    row = net.resistance_matrix[net.index(root)]
+    radius = float(np.quantile(row[row > 0], 0.6))
+    delta = 0.1 * networks.boundary_resistance(net, root, radius)
+    res = dynamics.exit_time_bound_check(env, root, radius, delta, 0.01 * unit,
+                                         stream.child(2), n_paths)
+    if not res.holds:
+        return False, f"exit probability upper limit {res.ci_high:.4f} > bound {res.bound:.4f}"
+    return True, (f"worst marginal gap {z[worst]:.2f} of 5 sigma + 1/n; exit upper limit "
+                  f"{res.ci_high:.4f} <= bound {res.bound:.4f}")
+
+
 def _check_gasket(max_level: int):
     prev = None
     for n in range(0, max_level + 1):
@@ -376,6 +410,7 @@ def run_suite(seed: int = 0, quick: bool = True):
         ("dynamics.kernel_invariants", lambda: _check_kernel_suite(seed, 10 if quick else 40)),
         ("dynamics.truncated_kernels", lambda: _check_truncated_kernels(seed)),
         ("dynamics.kernel_paths", lambda: _check_kernel_paths(seed)),
+        ("dynamics.jump_chain", lambda: _check_jump_chain(seed)),
         ("ensembles.gasket_closed_forms", lambda: _check_gasket(4 if quick else 8)),
     ]
     results = []
