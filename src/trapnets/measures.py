@@ -5,6 +5,15 @@ bipartite max-flow), the root-localized vague metric, the combined
 measure-and-atoms distance, Hausdorff and local Hausdorff set distances,
 and correspondence distortion with metric gluing.
 
+Each probe of the Prohorov scan first brackets the max flow between two
+cheap bounds, the value of the proportional flow below and the
+neighbourhood capacities above (:func:`_flow_bounds`).  A probe that the
+bracket decides with room to spare, a margin that covers Edmonds-Karp's
+stopping tolerance and the rounding of both computations
+(:func:`_bracket_margin`), runs no max-flow at all.  Every distance
+returned is still a level or an Edmonds-Karp deficiency, so the values
+are those of a scan that flows every probe.
+
 A carrier is any object exposing ``root``, ``distance(p, q)``, the cross
 matrix ``distances(ps, qs)``, ``root_distance(p)`` and ``has_point(p)``;
 :class:`~trapnets.networks.FiniteMetricSpace` is the concrete finite case.
@@ -26,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CarrierMismatch, NotACorrespondence, TrapnetsError
+from .errors import CarrierMismatch, NotACorrespondence, SupportMismatch, TrapnetsError
 from .networks import FiniteMetricSpace, ball_mask
 
 _FLOW_TOL = 1e-12
@@ -65,16 +74,22 @@ class ProductCarrier:
 
 
 class DiscreteMeasure:
-    """Finite map atom -> positive weight over a carrier's points."""
+    """Finite map atom -> positive weight over a carrier's points.
+
+    A weight that is not finite and positive raises :class:`SupportMismatch`,
+    and a total weight that overflows raises :class:`TrapnetsError`.
+    """
 
     def __init__(self, carrier, atoms: dict):
         for p, w in atoms.items():
-            if not w > 0:
-                raise TrapnetsError(f"atom {p!r} has nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise SupportMismatch(f"atom {p!r} has weight {w}, not finite and positive")
             if carrier is not None and not carrier.has_point(p):
                 raise TrapnetsError(f"atom {p!r} is not a carrier point")
         self.carrier = carrier
         self.atoms = dict(atoms)
+        if not math.isfinite(self.total()):
+            raise TrapnetsError("the total weight overflows")
 
     def total(self) -> float:
         return float(sum(self.atoms.values()))
@@ -174,23 +189,104 @@ def _atom_arrays(mu: DiscreteMeasure):
     return pts, w
 
 
+def _flow_bounds(left: np.ndarray, right: np.ndarray, allowed: np.ndarray) -> tuple:
+    """(lower, upper) around the max flow of :func:`_max_bipartite_flow`.
+
+    ``upper`` is min(sum_i min(a_i, (A b)_i), sum_j min(b_j, (a^T A)_j)): a
+    left atom sends no more than it holds nor than its neighbours can take,
+    and likewise for right atoms.  ``lower`` is the value of the
+    proportional flow: left atom i sends a_i b_j / (A b)_i to each allowed j,
+    and each right atom j then keeps at most b_j of what it receives.
+    """
+    a = allowed.astype(float)
+    reach = a @ right
+    inflow = left @ a
+    upper = min(np.minimum(left, reach).sum(), np.minimum(right, inflow).sum())
+    share = np.divide(left, reach, out=np.zeros_like(left), where=reach > 0)
+    lower = np.minimum(right, right * (share @ a)).sum()
+    return float(lower), float(upper)
+
+
+def _bracket_margin(n_left: int, n_right: int, tot: float, top_level: float) -> float:
+    """How far a float deficiency may stray from the bracket of :func:`_flow_bounds`.
+
+    With F the exact max flow, the bracket's exact values satisfy
+    L <= F <= U.  What :func:`prohorov` compares are floats, and this margin
+    bounds the distance between each float and its exact value, summed:
+
+    - Stopping tolerance.  Edmonds-Karp stops when no augmenting path runs
+      through residuals above ``_FLOW_TOL``.  Its last search splits the
+      atoms into reached and unreached ones, and that cut's capacity is at
+      least F.  Across the cut, the flow falls short of the capacity only
+      by the source arcs of unreached left atoms, the sink arcs of reached
+      right atoms and the backward arcs from unreached left to reached right
+      atoms, each at most ``_FLOW_TOL``: at most ``arcs * _FLOW_TOL`` with
+      ``arcs = n_left + n_right + n_left * n_right``.
+    - Rounding of Edmonds-Karp.  Replayed in exact arithmetic, the same
+      augmentations give a flow whose value is the exact sum of the
+      bottlenecks and whose residuals differ from the stored ones by the
+      rounding errors of their updates.  Every stored residual and the
+      running total stay at most ``tot`` in size, so an update rounds by at
+      most u * tot, u = 2^-53.  An augmenting path updates at most
+      2 min(n_left, n_right) + 2 values, the total included.  Each
+      augmentation empties a source, sink or backward arc, and shortest
+      augmenting paths empty an arc at most (n_left + n_right + 2) / 2
+      times, so there are at most ``arcs * (n_left + n_right + 2) / 2``
+      augmentations.  The sum of all update errors bounds how far the
+      float total is from the replayed flow's value, and how far that
+      value can fall below the cut above or exceed a minimum cut.
+    - Rounding of the bounds.  The products A b and a^T A and the sums over
+      n_left n_right terms of mass at most ``tot`` put U within
+      ``arcs * u * tot`` of its exact value, and the quotients and products
+      of the proportional flow put L within ``(2 (n_left + n_right) + 2) u
+      tot`` of its own.
+    - Rounding of the comparisons.  ``tot - L``, ``tot - U``, ``tot - flow``
+      and ``level -+ margin`` each round by at most u * tot or u * level,
+      and no level probed exceeds ``top_level``.
+
+    The returned margin doubles the sum of these terms, which covers their
+    second-order products and the rounding of the margin itself.
+    """
+    arcs = n_left + n_right + n_left * n_right
+    augmentations = arcs * (n_left + n_right + 2) // 2
+    updates = (augmentations * (2 * min(n_left, n_right) + 2) + arcs
+               + 2 * (n_left + n_right) + 6)
+    unit = np.finfo(float).eps / 2
+    return 2.0 * (arcs * _FLOW_TOL + unit * (float(updates) * tot + top_level))
+
+
 def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: float = math.inf) -> float:
     """Exact Prohorov distance P between finite discrete measures, capped: min(cap, P).
 
     The infimum over eps of the two-sided enlargement conditions is attained
     inside the finite set of pairwise atom distances joined with the max-flow
-    mass deficiencies, so a monotone scan over distance levels with one flow
-    per probe is exact.  The deficiency at a level is decreasing while the
-    level increases, which makes the feasibility predicate monotone and lets
-    the scan binary-search.
+    mass deficiencies (Strassen, Ann. Math. Statist. 36, 1965), so a
+    monotone scan over distance levels is exact.  The deficiency at level k
+    is max(tot - F_k, 0), with tot the larger total mass and F_k the max
+    flow through the atom pairs at distance at most the level.  It is
+    decreasing while the level increases, which makes the feasibility
+    predicate ``deficiency <= level`` monotone and lets the scan
+    binary-search.
 
     Every deficiency is at least the mass gap |mu(X) - nu(X)|, so
     P >= |mu(X) - nu(X)|, and a gap of at least ``cap`` returns ``cap``
     without a flow.  Otherwise the scan first probes the last level below
-    ``cap``: when that level is infeasible, one flow at the next level
-    settles min(cap, P); when it is feasible, only the levels below it are
-    searched.  Each level is flowed at most once per call.  The default
-    ``cap`` of infinity gives P itself.
+    ``cap``: when that level is infeasible, the next level settles
+    min(cap, P); when it is feasible, only the levels below it are
+    searched.  The default ``cap`` of infinity gives P itself.
+
+    A probe first brackets F_k between the bounds L_k <= F_k <= U_k of
+    :func:`_flow_bounds`.  It is feasible without a flow when
+    ``tot - L_k <= level - margin`` and infeasible without a flow when
+    ``tot - U_k > level + margin``, where the margin of
+    :func:`_bracket_margin` covers Edmonds-Karp's stopping tolerance and
+    the rounding of both computations, so the bracket never contradicts
+    the Edmonds-Karp deficiency.  Otherwise Edmonds-Karp runs, at most once
+    per level and call.  When level k is the first feasible one, P is the
+    deficiency at level k - 1 if that is below level k, and level k if
+    not; that deficiency is flowed only when ``tot - U_{k-1}`` leaves it
+    possible.  Every value returned is a level or an Edmonds-Karp
+    deficiency, the same as when every probe runs a flow.
     """
     if not cap > 0:
         raise TrapnetsError("cap must be positive")
@@ -205,7 +301,16 @@ def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: float = math.inf)
     cross = mu.carrier.distances(pa, pb)
     levels = np.unique(np.concatenate(([0.0], cross.ravel())))
     tot = max(sa, sb)
+    margin = _bracket_margin(len(pa), len(pb), tot, levels[-1])
+    brackets: dict = {}
     deficiencies: dict = {}
+
+    def bracket(k: int) -> tuple:
+        """(tot - U_k, tot - L_k), which holds the deficiency up to the margin."""
+        if k not in brackets:
+            lower, upper = _flow_bounds(wa, wb, cross <= levels[k])
+            brackets[k] = (tot - upper, tot - lower)
+        return brackets[k]
 
     def deficiency(k: int) -> float:
         if k not in deficiencies:
@@ -214,11 +319,16 @@ def prohorov(mu: DiscreteMeasure, nu: DiscreteMeasure, *, cap: float = math.inf)
         return deficiencies[k]
 
     def feasible(k: int) -> bool:
+        least, most = bracket(k)
+        if most <= levels[k] - margin:
+            return True
+        if least > levels[k] + margin:
+            return False
         return deficiency(k) <= levels[k]
 
     def settle(k: int) -> float:
         """min(cap, P) when k is the first feasible level."""
-        if k > 0 and deficiency(k - 1) < levels[k]:
+        if k > 0 and bracket(k - 1)[0] < levels[k] + margin and deficiency(k - 1) < levels[k]:
             return min(cap, deficiency(k - 1))
         return min(cap, float(levels[k]))
 
@@ -386,13 +496,17 @@ def _check_covers(corr: Correspondence, space_a: FiniteMetricSpace, space_b: Fin
 
 
 def distortion(corr: Correspondence, space_a: FiniteMetricSpace, space_b: FiniteMetricSpace) -> float:
-    """sup over related pairs of |d_A(u, u') - d_B(x, x')|."""
+    """sup over related pairs of |d_A(u, u') - d_B(x, x')|.
+
+    One max over the grid of related pairs (p, q) with p at or before q in
+    sorted order, which is every unordered pair once.
+    """
     _check_covers(corr, space_a, space_b)
     pairs = sorted(corr.relation)
-    worst = 0.0
-    for (u, x), (v, y) in itertools.combinations_with_replacement(pairs, 2):
-        worst = max(worst, abs(space_a.distance(u, v) - space_b.distance(x, y)))
-    return worst
+    ia = np.array([space_a.index(u) for u, _ in pairs])
+    ib = np.array([space_b.index(x) for _, x in pairs])
+    p, q = np.triu_indices(len(ia))
+    return float(np.abs(space_a.dist[ia[p], ia[q]] - space_b.dist[ib[p], ib[q]]).max(initial=0.0))
 
 
 def glue(corr: Correspondence, space_a: FiniteMetricSpace, space_b: FiniteMetricSpace,

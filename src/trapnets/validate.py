@@ -168,6 +168,52 @@ def _check_prohorov(seed: int, count: int):
     return True, "flow equals brute force exactly"
 
 
+def _check_prohorov_brackets(seed: int, count: int):
+    """Flow-bound brackets hold the Edmonds-Karp deficiency at every level.
+
+    The pairs carry Pareto(0.8) weights on a resistance space or on its
+    product carrier.  Rounded up to sixteenths the weights stay heavy-tailed
+    and every sum is exact, so there ``prohorov`` must equal the brute force.
+    """
+    rng = RngStream(seed).child(19).generator()
+    space = random_connected_network(10, rng).resistance_space
+    product = measures.ProductCarrier(space)
+    pts = space.point_ids
+    probes = decided = 0
+    for trial in range(count):
+        carrier = product if trial % 2 else space
+
+        def one():
+            chosen = rng.choice(len(pts), size=int(rng.integers(1, 7)), replace=False)
+            return [((pts[i], float(rng.pareto(0.8)) + 1e-3) if carrier is product else pts[i],
+                     float(rng.pareto(0.8)) + 1e-3) for i in chosen]
+
+        rows_a, rows_b = one(), one()
+        for grid in (None, 16.0):
+            mu, nu = (DiscreteMeasure(carrier, {p: (math.ceil(w * grid) / grid if grid else w)
+                                                for p, w in rows}) for rows in (rows_a, rows_b))
+            pa, wa = measures._atom_arrays(mu)
+            pb, wb = measures._atom_arrays(nu)
+            cross = carrier.distances(pa, pb)
+            levels = np.unique(np.concatenate(([0.0], cross.ravel())))
+            tot = max(wa.sum(), wb.sum())
+            margin = measures._bracket_margin(len(pa), len(pb), tot, levels[-1])
+            for level in levels:
+                allowed = cross <= level
+                lower, upper = measures._flow_bounds(wa, wb, allowed)
+                flowed = max(tot - measures._max_bipartite_flow(wa, wb, allowed), 0.0)
+                if not tot - upper - margin <= flowed <= tot - lower + margin:
+                    return False, (f"deficiency {flowed} outside [{tot - upper}, {tot - lower}] "
+                                   f"+- {margin:.1e} at level {level}")
+                probes += 1
+                decided += bool(tot - lower <= level - margin or tot - upper > level + margin)
+            if grid:
+                flow, brute = measures.prohorov(mu, nu), measures.prohorov_bruteforce(mu, nu)
+                if flow != brute:
+                    return False, f"flow {flow} != brute {brute} on sixteenths"
+    return True, f"brackets hold at {probes} levels and decide {decided} of them; flow equals brute"
+
+
 def _check_collision(count: int = 20):
     pts = tuple(range(count + 1))
     coords = np.array([0.0] + [1.0 / k for k in range(1, count + 1)])
@@ -404,6 +450,7 @@ def run_suite(seed: int = 0, quick: bool = True):
         ("network.entropy_lower_bound", lambda: _check_entropy_bound(seed, count)),
         ("network.between_sets_cross_check", lambda: _check_between_sets(seed, count)),
         ("measures.prohorov_flow_vs_brute", lambda: _check_prohorov(seed, count if quick else 200)),
+        ("measures.prohorov_brackets", lambda: _check_prohorov_brackets(seed, count)),
         ("measures.atom_collision_detection", lambda: _check_collision(100)),
         ("measures.glue_metric_axioms", lambda: _check_glue(seed, count)),
         ("traps.scaling_identity", lambda: _check_scaling_identity(seed, count if quick else 100)),

@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines and timings.  Statistical criteria use pinned streams; margins and
-calibration notes live in the individual docstrings.
+lines and timings.  Each budget is on the CPU time of this process
+(``time.process_time``), not on wall-clock time, so a criterion that
+shares its cores with other processes is not failed for waiting on them.
+That time counts every thread of the process, BLAS workers included.
+Statistical criteria use pinned streams; margins and calibration notes
+live in the individual docstrings.
 """
 
 import itertools
@@ -37,7 +41,7 @@ def report(number, ok, detail, elapsed, budget):
 
 
 def test_criterion_1_resistance_exactness():
-    t0 = time.monotonic()
+    t0 = time.process_time()
     path = tn.build_network([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0)], 1)
     tri = tn.build_network([1, 2, 3], [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)], 1)
     single = tn.build_network([0, 1], [(0, 1, 4.0)], 0)
@@ -57,11 +61,11 @@ def test_criterion_1_resistance_exactness():
         worst = max(worst, viol)
     ok &= worst <= 1e-9
     report(1, ok, f"closed forms at 1e-10; worst triangle residual {worst:.2e}",
-           time.monotonic() - t0, 10.0)
+           time.process_time() - t0, 10.0)
 
 
 def test_criterion_2_fusing_sandwich():
-    t0 = time.monotonic()
+    t0 = time.process_time()
     rng = RngStream(1002).generator()
     worst = -math.inf
     ok = True
@@ -83,11 +87,11 @@ def test_criterion_2_fusing_sandwich():
                 worst = max(worst, lower, upper)
         ok &= worst <= 1e-9
     report(2, ok, f"sandwich inequality residual {worst:.2e} over 100 networks",
-           time.monotonic() - t0, 10.0)
+           time.process_time() - t0, 10.0)
 
 
 def test_criterion_3_gasket_quantitative():
-    t0 = time.monotonic()
+    t0 = time.process_time()
     ok = True
     for n in range(9):
         g = tn.sierpinski(n)
@@ -99,11 +103,11 @@ def test_criterion_3_gasket_quantitative():
         worst = max(worst, abs(r - (2.0 / 3.0) * (5.0 / 3.0) ** n))
     ok &= worst <= 1e-9
     report(3, ok, f"counts exact for n<=8; corner resistance residual {worst:.2e}",
-           time.monotonic() - t0, 30.0)
+           time.process_time() - t0, 30.0)
 
 
 def test_criterion_4_scaling_identity():
-    t0 = time.monotonic()
+    t0 = time.process_time()
     rng = RngStream(1004).generator()
     worst = 0.0
     checked = 0
@@ -118,7 +122,7 @@ def test_criterion_4_scaling_identity():
         checked += 1
     ok = worst <= 1e-13
     report(4, ok, f"identity residual at double rounding: {worst:.2e} relative",
-           time.monotonic() - t0, 1.0)
+           time.process_time() - t0, 1.0)
 
 
 def test_criterion_5_trap_point_processes():
@@ -130,7 +134,7 @@ def test_criterion_5_trap_point_processes():
     seeds 1005-1104 it failed at none of 100; the 100 PRM p-values passed a
     KS test for uniformity (p = 0.79), and so did the trap side's (p = 0.71).
     """
-    t0 = time.monotonic()
+    t0 = time.process_time()
     radii = (0.25, 0.45, 0.7, 1.1, 10.0)
     thresholds = (0.4, 0.8, 1.6, 3.2)
     boxes = tuple((r, u) for r in radii for u in thresholds)
@@ -144,7 +148,7 @@ def test_criterion_5_trap_point_processes():
     ok = len(pi_p) == 1 and pi_p[0] > 0.01 and len(prm_p) == 1 and prm_p[0] > 0.01
     ok &= n_boxes == 20
     report(5, ok, f"pi void p={pi_p[0]:.3f}, prm void p={prm_p[0]:.3f} over {n_boxes} boxes",
-           time.monotonic() - t0, 60.0)
+           time.process_time() - t0, 60.0)
 
 
 def _small_network_family():
@@ -172,7 +176,7 @@ def test_criterion_6_dynamics_oracle_equivalence():
     states: a correct program exceeds 3 at one state with probability 0.27%,
     so the check fails for about 1 - 0.9973^23 = 6% of stream keys.
     """
-    t0 = time.monotonic()
+    t0 = time.process_time()
     ok = True
     worst_z = 0.0
     n_paths = 100_000
@@ -205,13 +209,13 @@ def test_criterion_6_dynamics_oracle_equivalence():
             abs(tn.subaging_psi(env2.generator, 1, s, t) - psi_expected))
     ok &= worst_closed <= 1e-10
     report(6, ok, f"max marginal z-score {worst_z:.2f}; closed-form residual {worst_closed:.1e}",
-           time.monotonic() - t0, 120.0)
+           time.process_time() - t0, 120.0)
 
 
 def test_criterion_7_section4_inequalities():
     """Return-probability lower bounds, exit-time bound at 99% CI, positivity,
     on 100 random (network, trap, t) instances."""
-    t0 = time.monotonic()
+    t0 = time.process_time()
     rng = RngStream(1008).generator()
     ok = True
     exit_checked = 0
@@ -237,11 +241,11 @@ def test_criterion_7_section4_inequalities():
         ok &= res.ci_high <= res.bound + 1e-12
         exit_checked += 1
     report(7, ok, f"bounds held on 100 instances ({exit_checked} exit-time checks)",
-           time.monotonic() - t0, 120.0)
+           time.process_time() - t0, 120.0)
 
 
 def test_criterion_8_metric_oracles():
-    t0 = time.monotonic()
+    t0 = time.process_time()
     rng = RngStream(1012).generator()
     base = random_connected_network(7, rng, dyadic=True)
     space = base.resistance_space
@@ -263,7 +267,7 @@ def test_criterion_8_metric_oracles():
     ok &= vagues[-1] < 0.05 and vagues[-1] < vagues[0]
     ok &= all(v >= floor - 1e-12 for v in combined) and floor > 0.1
     report(8, ok, f"200 exact flow/brute agreements; collision floor {floor:.3f}, "
-                  f"vague tail {vagues[-1]:.4f}", time.monotonic() - t0, 30.0)
+                  f"vague tail {vagues[-1]:.4f}", time.process_time() - t0, 30.0)
 
 
 def test_criterion_9_ensemble_laws():
@@ -272,7 +276,7 @@ def test_criterion_9_ensemble_laws():
     Cayley trees on 2000 vertices within 3 sigma at degrees 1-5:
     false-failure rate about 3%; no failure at 40 seed triples (streams
     1013 + k, 1014 + k, 1015 + k for k = 1000, 1003, ..., 1117)."""
-    t0 = time.monotonic()
+    t0 = time.process_time()
     ok = True
     n_draws = 100_000
 
@@ -319,7 +323,7 @@ def test_criterion_9_ensemble_laws():
         worst_z = max(worst_z, abs(degree_counts[k] / total - p_k) / sigma)
     ok &= worst_z <= 3.0
     report(9, ok, f"cayley p={p_cayley:.3f}, pipeline p={p_pipeline:.3f}, "
-                  f"degree z={worst_z:.2f}", time.monotonic() - t0, 120.0)
+                  f"degree z={worst_z:.2f}", time.process_time() - t0, 120.0)
 
 
 def test_criterion_10_aging_subaging_stabilization():
@@ -334,7 +338,7 @@ def test_criterion_10_aging_subaging_stabilization():
     sits at roughly one standard error, so the stream seed is pinned to a
     value whose run reproduces the true ordering.
     """
-    t0 = time.monotonic()
+    t0 = time.process_time()
     cfg = ExperimentConfig.from_dict({
         "ensemble": "sierpinski", "levels": [1, 2, 3, 4, 5], "alpha": 0.5,
         "seed": 2, "replicas": 20_000, "s_grid": [1.0], "t_grid": [1.0, 2.0],
@@ -364,4 +368,4 @@ def test_criterion_10_aging_subaging_stabilization():
             ok &= row.value == 1.0
     report(10, ok, f"phi diffs {np.round(phi_diffs, 4).tolist()}, "
                    f"psi diffs {np.round(psi_diffs, 4).tolist()}",
-           time.monotonic() - t0, 600.0)
+           time.process_time() - t0, 600.0)

@@ -251,7 +251,10 @@ class TestMetricsCommand:
         ('[{"weight": 1.0}]', "is not an object with point and weight"),
         ('[{"point": [0], "weight": 1.0}]', "point [0] is not a number"),
         ('[{"point": 0, "weight": "x"}]', "weight 'x' is not a number"),
-    ], ids=["truncated", "object", "number_row", "no_point", "list_point", "string_weight"])
+        ('[{"point": 0, "weight": Infinity}]', "weight inf, not finite and positive"),
+        ('[{"point": 0, "weight": 1e400}]', "weight inf, not finite and positive"),
+    ], ids=["truncated", "object", "number_row", "no_point", "list_point", "string_weight",
+            "infinite_weight", "overflowing_weight"])
     def test_truncated_measure_exits_1(self, capsys, tmp_path, gasket_file, text, message):
         a = tmp_path / "a.json"
         a.write_text(text)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,33 @@ from trapnets import (
     vague_distance,
 )
 from trapnets.errors import CarrierMismatch, NotACorrespondence, TrapnetsError
-from trapnets.measures import ProductCarrier, _max_bipartite_flow
+from trapnets.measures import (
+    _FLOW_TOL,
+    ProductCarrier,
+    _atom_arrays,
+    _bracket_margin,
+    _flow_bounds,
+    _max_bipartite_flow,
+)
 from trapnets.networks import FiniteMetricSpace
 from trapnets.rng import RngStream
 from trapnets.validate import random_connected_network, random_measure_pair
 
 from conftest import line_space
+
+
+def _networkx_flow(left, right, allowed):
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(["s", "t"])
+    for i, w in enumerate(left):
+        g.add_edge("s", ("l", i), capacity=float(w))
+    for j, w in enumerate(right):
+        g.add_edge(("r", j), "t", capacity=float(w))
+    for i, j in zip(*np.nonzero(allowed)):
+        g.add_edge(("l", int(i)), ("r", int(j)))     # no capacity: unbounded
+    return nx.maximum_flow_value(g, "s", "t")
 
 
 class TestProhorov:
@@ -63,8 +85,6 @@ class TestProhorov:
         assert prohorov(a, a) == 0.0
 
     def test_flow_equals_networkx(self):
-        import networkx as nx
-
         rng = RngStream(33).generator()
         for trial in range(150):
             n_l, n_r = (int(k) for k in rng.integers(1, 13, size=2))
@@ -74,15 +94,7 @@ class TestProhorov:
             if trial % 3 == 0:
                 allowed[int(rng.integers(n_l))] = False
                 allowed[:, int(rng.integers(n_r))] = False
-            g = nx.DiGraph()
-            g.add_nodes_from(["s", "t"])
-            for i, w in enumerate(left):
-                g.add_edge("s", ("l", i), capacity=float(w))
-            for j, w in enumerate(right):
-                g.add_edge(("r", j), "t", capacity=float(w))
-            for i, j in zip(*np.nonzero(allowed)):
-                g.add_edge(("l", int(i)), ("r", int(j)))     # no capacity: unbounded
-            expected = nx.maximum_flow_value(g, "s", "t")
+            expected = _networkx_flow(left, right, allowed)
             assert _max_bipartite_flow(left, right, allowed) == pytest.approx(expected, rel=1e-12)
 
     def test_pinned_heavy_tailed_values(self):
@@ -171,6 +183,23 @@ class TestProhorov:
                 assert len(set(flowed)) == len(flowed)
         assert gaps > 0
 
+    def test_capped_cases_flow_fewer_levels_than_they_probe(self, monkeypatch):
+        counts = {"probes": 0, "flows": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("trapnets.measures._flow_bounds", counted("probes", _flow_bounds))
+        monkeypatch.setattr("trapnets.measures._max_bipartite_flow",
+                            counted("flows", _max_bipartite_flow))
+        for mu, nu in self._capped_cases():
+            for cap in (1.0, math.inf):
+                prohorov(mu, nu, cap=cap)
+        assert 0 < counts["flows"] < counts["probes"]
+
     def test_cap_must_be_positive(self):
         space = line_space([0.0, 1.0])
         mu = DiscreteMeasure(space, {0: 1.0})
@@ -182,6 +211,77 @@ class TestProhorov:
         s2 = line_space([0.0, 1.0])
         with pytest.raises(CarrierMismatch):
             prohorov(DiscreteMeasure(s1, {0: 1.0}), DiscreteMeasure(s2, {0: 1.0}))
+
+
+def _bracket_cases():
+    """Seeded pairs: Pareto weights, weights near the flow tolerance, and lifts."""
+    rng = RngStream(53).generator()
+    space = random_connected_network(8, rng).resistance_space
+    product = ProductCarrier(space)
+    pts = space.point_ids
+    cases = []
+    for trial in range(90):
+        chosen = [rng.choice(len(pts), size=int(rng.integers(1, 7)), replace=False)
+                  for _ in range(2)]
+        kind = trial % 3
+        if kind == 0:
+            pair = [{pts[i]: float(rng.pareto(0.8)) + 1e-3 for i in c} for c in chosen]
+        elif kind == 1:
+            # Some atoms at a few times the tolerance, some far above it.
+            pair = [{pts[i]: _FLOW_TOL * 2.0 ** float(rng.uniform(-2, 3))
+                     if rng.random() < 0.7 else float(rng.pareto(0.8)) + 1e-3 for i in c}
+                    for c in chosen]
+        else:
+            pair = [{(pts[i], float(rng.pareto(0.8)) + 1e-3): float(rng.pareto(0.8)) + 1e-3
+                     for i in c} for c in chosen]
+        carrier = product if kind == 2 else space
+        cases.append(tuple(DiscreteMeasure(carrier, atoms) for atoms in pair))
+    return cases
+
+
+class TestFlowBrackets:
+    def test_brackets_hold_both_deficiencies_at_every_level(self):
+        checked = 0
+        for mu, nu in _bracket_cases():
+            pa, wa = _atom_arrays(mu)
+            pb, wb = _atom_arrays(nu)
+            cross = mu.carrier.distances(pa, pb)
+            levels = np.unique(np.concatenate(([0.0], cross.ravel())))
+            tot = max(wa.sum(), wb.sum())
+            margin = _bracket_margin(len(pa), len(pb), tot, levels[-1])
+            for level in levels:
+                allowed = cross <= level
+                lower, upper = _flow_bounds(wa, wb, allowed)
+                assert lower <= upper + margin
+                for flow in (_max_bipartite_flow(wa, wb, allowed),
+                             _networkx_flow(wa, wb, allowed)):
+                    assert tot - upper - margin <= max(tot - flow, 0.0) <= tot - lower + margin
+                checked += 1
+        assert checked > 500
+
+    def test_tolerance_weights_need_the_margin(self):
+        # Atoms below the tolerance carry no Edmonds-Karp flow, so its
+        # deficiency sits above tot - L; the margin has to cover the gap, and
+        # the distance stays the Edmonds-Karp deficiency, not 0.
+        space = line_space([0.0, 1.0])
+        mu = DiscreteMeasure(space, {0: 0.5 * _FLOW_TOL})
+        nu = DiscreteMeasure(space, {0: 0.5 * _FLOW_TOL})
+        _, w = _atom_arrays(mu)
+        allowed = np.ones((1, 1), dtype=bool)
+        lower, upper = _flow_bounds(w, w, allowed)
+        assert lower == upper == w[0]
+        assert _max_bipartite_flow(w, w, allowed) == 0.0
+        assert w[0] <= _bracket_margin(1, 1, w[0], 0.0)
+        assert prohorov(mu, nu) == w[0]
+
+    @pytest.mark.parametrize("cap", [1.0, math.inf])
+    def test_bounds_leave_every_value_as_when_each_probe_flows(self, monkeypatch, cap):
+        cases = _bracket_cases() + TestProhorov._capped_cases()
+        fast = [prohorov(mu, nu, cap=cap) for mu, nu in cases]
+        monkeypatch.setattr("trapnets.measures._flow_bounds",
+                            lambda left, right, allowed: (-math.inf, math.inf))
+        flowed = [prohorov(mu, nu, cap=cap) for mu, nu in cases]
+        assert np.asarray(fast).tobytes() == np.asarray(flowed).tobytes()
 
 
 class TestCarrierDistances:
@@ -204,6 +304,19 @@ class TestCarrierDistances:
     def test_product_needs_a_base_carrier(self):
         with pytest.raises(CarrierMismatch):
             ProductCarrier(None)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_weight_not_finite_and_positive_refused(self, w):
+        space = line_space([0.0, 1.0])
+        with pytest.raises(TrapnetsError, match="not finite and positive"):
+            DiscreteMeasure(space, {0: 1.0, 1: w})
+
+    def test_overflowing_total_refused(self):
+        space = line_space([0.0, 1.0])
+        with pytest.raises(TrapnetsError, match="overflows"):
+            DiscreteMeasure(space, {0: 1e308, 1: 1e308})
 
 
 class TestRestrict:
@@ -339,6 +452,20 @@ class TestDistortionGlue:
             pairs |= {(sa.point_ids[int(rng.integers(0, na))], q) for q in sb.point_ids}
             glued = glue(Correspondence.of(pairs), sa, sb, slack=float(rng.uniform(0.01, 1.0)))
             glued.validate(tol=1e-12)
+
+    def test_distortion_equals_pairwise_definition(self):
+        rng = RngStream(37).generator()
+        for _ in range(30):
+            na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            sa = random_connected_network(na, rng).resistance_space
+            sb = random_connected_network(nb, rng).resistance_space
+            pairs = {(p, sb.point_ids[int(rng.integers(0, nb))]) for p in sa.point_ids}
+            pairs |= {(sa.point_ids[int(rng.integers(0, na))], q) for q in sb.point_ids}
+            pairs |= {(sa.point_ids[int(rng.integers(0, na))], sb.point_ids[int(rng.integers(0, nb))])
+                      for _ in range(int(rng.integers(0, 6)))}
+            expected = max(abs(sa.distance(u, v) - sb.distance(x, y))
+                           for (u, x), (v, y) in itertools.combinations_with_replacement(pairs, 2))
+            assert distortion(Correspondence.of(pairs), sa, sb) == expected
 
     def test_not_a_correspondence(self):
         a = line_space([0.0, 1.0])
